@@ -1,12 +1,11 @@
 //! engine_throughput — single-thread vs. sharded scaling of the
-//! `flowzip-engine` streaming pipeline on a seeded synthetic trace,
-//! measured under both routing topologies (`serial/N` is the original
-//! dedicated-router-thread path, `parallel/N` the reader-side routing
-//! pool with N routing workers alongside N shards).
+//! `flowzip-engine` streaming pipeline on a seeded synthetic trace
+//! (`serial/N`: one router thread feeding N shards; `serial/1` runs the
+//! single shard inline).
 //!
 //! This is the repo's perf trajectory anchor: besides the usual console
 //! report it writes a machine-readable `target/BENCH_engine.json`
-//! (packets/s per routing × thread count, plus the measuring host's
+//! (packets/s per thread count, plus the measuring host's
 //! `available_parallelism`) that CI uploads, so future PRs have a
 //! baseline to diff against — and so the regression gate knows whether
 //! `speedup_vs_1` was measured somewhere it could possibly exceed 1.
@@ -20,7 +19,7 @@
 
 use criterion::black_box;
 use flowzip_bench::original_trace;
-use flowzip_engine::{Metrics, Routing, StreamingEngine};
+use flowzip_engine::{Metrics, StreamingEngine};
 use flowzip_trace::Duration;
 use std::time::Instant;
 
@@ -39,7 +38,6 @@ fn env_u64(key: &str, default: u64) -> u64 {
 
 struct Point {
     label: String,
-    routing: Routing,
     threads: usize,
     seconds: f64,
     packets_per_sec: f64,
@@ -60,50 +58,42 @@ fn main() {
         .unwrap_or(1);
     if cpus < 2 {
         eprintln!(
-            "note: only {cpus} CPU available — shards and routing workers cannot scale here; \
+            "note: only {cpus} CPU available — shards cannot scale here; \
              speedup_vs_1 is only meaningful on multi-core hosts"
         );
     }
 
     let mut points: Vec<Point> = Vec::new();
-    for routing in [Routing::Serial, Routing::Parallel] {
-        for threads in [1usize, 2, 4, 8] {
-            let engine = StreamingEngine::builder()
-                .routing(routing)
-                // Routing workers scale with the shard count: the point
-                // of reader-side routing is that hashing capacity grows
-                // with the rest of the pipeline.
-                .routers(threads)
-                .shards(threads)
-                .batch_size(4096)
-                .idle_timeout(Some(Duration::from_secs(120)))
-                .build();
-            let mut best = f64::INFINITY;
-            for _ in 0..runs {
-                let t0 = Instant::now();
-                let (archive, report) = engine
-                    .compress_stream(trace.iter().cloned().map(Ok))
-                    .expect("in-memory run");
-                best = best.min(t0.elapsed().as_secs_f64());
-                black_box((archive, report));
-            }
-            let p = Point {
-                label: format!("{routing}/{threads}"),
-                routing,
-                threads,
-                seconds: best,
-                packets_per_sec: packets as f64 / best,
-                mb_per_sec: tsh_mb / best,
-            };
-            println!(
-                "engine_throughput/{:<12}  best {:>8.3}s  {:>12.0} packets/s  {:>8.2} MB/s",
-                p.label, p.seconds, p.packets_per_sec, p.mb_per_sec
-            );
-            points.push(p);
+    for threads in [1usize, 2, 4, 8] {
+        let engine = StreamingEngine::builder()
+            .shards(threads)
+            .batch_size(4096)
+            .idle_timeout(Some(Duration::from_secs(120)))
+            .build();
+        let mut best = f64::INFINITY;
+        for _ in 0..runs {
+            let t0 = Instant::now();
+            let (archive, report) = engine
+                .compress_stream(trace.iter().cloned().map(Ok))
+                .expect("in-memory run");
+            best = best.min(t0.elapsed().as_secs_f64());
+            black_box((archive, report));
         }
+        let p = Point {
+            label: format!("serial/{threads}"),
+            threads,
+            seconds: best,
+            packets_per_sec: packets as f64 / best,
+            mb_per_sec: tsh_mb / best,
+        };
+        println!(
+            "engine_throughput/{:<12}  best {:>8.3}s  {:>12.0} packets/s  {:>8.2} MB/s",
+            p.label, p.seconds, p.packets_per_sec, p.mb_per_sec
+        );
+        points.push(p);
     }
 
-    // Metrics-overhead family: the same parallel/2 configuration timed
+    // Metrics-overhead family: the same serial/2 configuration timed
     // with the registry disabled vs. enabled. The no-op recorder is
     // enum-dispatch — a disabled run pays one branch per record site —
     // so the enabled/disabled gap is the true cost of live counters,
@@ -112,8 +102,6 @@ fn main() {
     let overhead_threads = 2usize;
     let time_with = |metrics: Metrics| {
         let engine = StreamingEngine::builder()
-            .routing(Routing::Parallel)
-            .routers(overhead_threads)
             .shards(overhead_threads)
             .batch_size(4096)
             .idle_timeout(Some(Duration::from_secs(120)))
@@ -141,15 +129,13 @@ fn main() {
         overhead_frac * 100.0
     );
 
-    // Telemetry-overhead family: the same parallel/2 configuration with
+    // Telemetry-overhead family: the same serial/2 configuration with
     // the per-flow TCP-dynamics derivation off vs. on. The on-run's
     // archive also yields the trace-complexity score recorded below, so
     // the JSON says *what kind* of traffic these numbers were measured
     // on.
     let time_telemetry = |telemetry: bool| {
         let engine = StreamingEngine::builder()
-            .routing(Routing::Parallel)
-            .routers(overhead_threads)
             .shards(overhead_threads)
             .batch_size(4096)
             .idle_timeout(Some(Duration::from_secs(120)))
@@ -186,30 +172,21 @@ fn main() {
         complexity.score, complexity.flow_size_entropy, complexity.arrival_burstiness
     );
 
-    // speedup_vs_1 is within-family: parallel/4 against parallel/1, so
-    // the scaling figure isolates topology scaling from the (small)
-    // constant-factor difference between the two routers at one thread.
-    let family_base = |routing: Routing| {
-        points
-            .iter()
-            .find(|p| p.routing == routing && p.threads == 1)
-            .expect("thread count 1 is always measured")
-            .packets_per_sec
-    };
+    // speedup_vs_1 is against serial/1, the inline single shard.
+    let base = points[0].packets_per_sec;
     let results: Vec<String> = points
         .iter()
         .map(|p| {
             format!(
-                "    {{\"label\": \"{}\", \"routing\": \"{}\", \"threads\": {}, \
+                "    {{\"label\": \"{}\", \"threads\": {}, \
                  \"seconds\": {:.6}, \"packets_per_sec\": {:.0}, \
                  \"mb_per_sec\": {:.2}, \"speedup_vs_1\": {:.3}}}",
                 p.label,
-                p.routing,
                 p.threads,
                 p.seconds,
                 p.packets_per_sec,
                 p.mb_per_sec,
-                p.packets_per_sec / family_base(p.routing)
+                p.packets_per_sec / base
             )
         })
         .collect();

@@ -2,7 +2,6 @@
 //! idle-flow eviction policy.
 
 use crate::engine::StreamingEngine;
-use crate::route::Routing;
 use flowzip_core::{ArchiveFormat, Params};
 use flowzip_obs::{Metrics, Profiler};
 use flowzip_trace::Duration;
@@ -70,7 +69,8 @@ pub struct EngineConfig {
     /// layout with its serial O(trace) serialization tail.
     pub format: ArchiveFormat,
     /// Worker threads; flows are partitioned across them by flow-key
-    /// hash. One shard reproduces batch output byte-for-byte.
+    /// hash. One shard (the default) runs inline on the calling thread
+    /// and reproduces batch output byte-for-byte.
     pub shards: usize,
     /// Packets per cross-thread batch. Larger batches amortize channel
     /// overhead; smaller ones reduce latency and peak buffering.
@@ -83,17 +83,6 @@ pub struct EngineConfig {
     /// disables eviction: memory then grows with the number of flows left
     /// open by the trace, exactly like the batch compressor.
     pub idle_timeout: Option<Duration>,
-    /// How packets reach the shards: [`Routing::Parallel`] (the default)
-    /// hashes on N routing workers and delivers in sequence-ticket order;
-    /// [`Routing::Serial`] keeps the original dedicated router thread.
-    /// Output is byte-identical either way (pinned by the
-    /// routing-equivalence proptests).
-    pub routing: Routing,
-    /// Routing workers under [`Routing::Parallel`] (clamped ≥ 1; ignored
-    /// by serial routing). For file input this is naturally the reader
-    /// count — each worker drains whole decoded batches and hashes them
-    /// itself.
-    pub routers: usize,
     /// Derive per-flow TCP telemetry (RTT, retransmissions, idle/active
     /// time) inline during accumulation and, with the v2 container,
     /// append the rev 2.2 `FZT1` side-section. Off by default; turning
@@ -118,7 +107,6 @@ impl EngineConfig {
         self.shards = self.shards.max(1);
         self.batch_size = self.batch_size.max(1);
         self.channel_capacity = self.channel_capacity.max(1);
-        self.routers = self.routers.max(1);
         self
     }
 
@@ -139,12 +127,6 @@ impl EngineConfig {
         if self.channel_capacity == 0 {
             return Err(ConfigError(
                 "channel_capacity must be ≥ 1 (got 0; a zero-slot channel would deadlock)"
-                    .to_string(),
-            ));
-        }
-        if self.routers == 0 {
-            return Err(ConfigError(
-                "routers must be ≥ 1 (got 0; zero routing workers would never deliver a packet)"
                     .to_string(),
             ));
         }
@@ -191,24 +173,18 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Starts from the defaults: paper parameters, one shard per
-    /// available CPU (capped at 8), 1024-packet batches, 4 in-flight
-    /// batches per shard, no idle eviction, parallel reader-side routing
-    /// with one routing worker per available CPU (capped at 4).
+    /// Starts from the defaults: paper parameters, one shard, 1024-packet
+    /// batches, 4 in-flight batches per shard, no idle eviction. The
+    /// default never depends on the host, so neither do archive bytes.
     pub fn new() -> EngineBuilder {
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         EngineBuilder {
             config: EngineConfig {
                 params: Params::paper(),
                 format: ArchiveFormat::V2,
-                shards: cpus.min(8),
+                shards: 1,
                 batch_size: 1024,
                 channel_capacity: 4,
                 idle_timeout: None,
-                routing: Routing::Parallel,
-                routers: cpus.min(4),
                 telemetry: false,
                 metrics: Metrics::disabled(),
                 profiler: Profiler::disabled(),
@@ -229,7 +205,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Number of worker shards (clamped to ≥ 1).
+    /// Number of worker shards (default 1; clamped to ≥ 1).
     pub fn shards(mut self, shards: usize) -> EngineBuilder {
         self.config.shards = shards;
         self
@@ -253,33 +229,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Routing topology (default: [`Routing::Parallel`]).
-    ///
-    /// Under parallel routing, [`EngineBuilder::routers`] workers pull
-    /// whole decoded batches from the input, hash their own packets
-    /// concurrently, and deliver shard-sticky sub-batches in a globally
-    /// stable sequence-ticket order — so every shard still sees exactly
-    /// the packet order the dedicated serial router would have sent it,
-    /// and output stays **byte-identical** across the two topologies
-    /// (pinned by the routing-equivalence proptests). `Routing::Serial`
-    /// keeps the original one-router-thread fallback: the right choice
-    /// on single-core hosts, where extra routing workers only add
-    /// scheduling overhead, and the reference topology for debugging a
-    /// suspected routing bug.
-    pub fn routing(mut self, routing: Routing) -> EngineBuilder {
-        self.config.routing = routing;
-        self
-    }
-
-    /// Routing workers under [`Routing::Parallel`] (clamped ≥ 1; ignored
-    /// by serial routing). File ingest typically sets this to the reader
-    /// count — the threads that decode the batches are the natural ones
-    /// to hash them.
-    pub fn routers(mut self, routers: usize) -> EngineBuilder {
-        self.config.routers = routers;
-        self
-    }
-
     /// Per-flow TCP telemetry derivation (default: off). With the v2
     /// container the per-section rows persist as the rev 2.2 `FZT1`
     /// side-section (and feed the `telemetry.*` counters); the v1
@@ -300,8 +249,7 @@ impl EngineBuilder {
     }
 
     /// Span-timing recorder for chrome://tracing dumps (default:
-    /// [`Profiler::disabled`]). Each shard and routing worker gets its
-    /// own timeline track.
+    /// [`Profiler::disabled`]). Each shard gets its own timeline track.
     pub fn profiler(mut self, profiler: Profiler) -> EngineBuilder {
         self.config.profiler = profiler;
         self
@@ -351,14 +299,15 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = EngineConfig::default();
-        assert!(c.shards >= 1);
+        assert_eq!(
+            c.shards, 1,
+            "one shard unless asked: bytes never follow the host"
+        );
         assert!(c.batch_size >= 1);
         assert!(c.channel_capacity >= 1);
-        assert!(c.routers >= 1);
         assert_eq!(c.idle_timeout, None);
         assert_eq!(c.params, Params::paper());
         assert_eq!(c.format, ArchiveFormat::V2);
-        assert_eq!(c.routing, Routing::Parallel);
         assert!(!c.telemetry);
     }
 
@@ -368,12 +317,10 @@ mod tests {
             .shards(0)
             .batch_size(0)
             .channel_capacity(0)
-            .routers(0)
             .build();
         assert_eq!(e.config().shards, 1);
         assert_eq!(e.config().batch_size, 1);
         assert_eq!(e.config().channel_capacity, 1);
-        assert_eq!(e.config().routers, 1);
     }
 
     #[test]
@@ -399,12 +346,6 @@ mod tests {
             "{err}"
         );
 
-        let err = StreamingEngine::builder()
-            .routers(0)
-            .try_build()
-            .unwrap_err();
-        assert!(err.to_string().contains("routers must be ≥ 1"), "{err}");
-
         // Sane configurations pass through unchanged.
         let engine = StreamingEngine::builder()
             .shards(3)
@@ -427,8 +368,6 @@ mod tests {
             .channel_capacity(2)
             .idle_timeout(Some(Duration::from_secs(30)))
             .format(ArchiveFormat::V1)
-            .routing(Routing::Serial)
-            .routers(5)
             .telemetry(true)
             .build();
         assert_eq!(e.config().format, ArchiveFormat::V1);
@@ -437,8 +376,6 @@ mod tests {
         assert_eq!(e.config().batch_size, 77);
         assert_eq!(e.config().channel_capacity, 2);
         assert_eq!(e.config().idle_timeout, Some(Duration::from_secs(30)));
-        assert_eq!(e.config().routing, Routing::Serial);
-        assert_eq!(e.config().routers, 5);
         assert!((e.config().params.similarity - 0.05).abs() < 1e-12);
     }
 }

@@ -1,24 +1,16 @@
 //! The streaming engine: route → accumulate per shard → merge.
 //!
-//! Two routing topologies feed the shards (the
-//! [`Routing`] knob; output is byte-identical
-//! either way):
-//!
 //! ```text
-//! routing=parallel (default) — hashing runs on R workers at once:
-//!             ┌─ router 0 ─ partition ─┐          ┌─▶ shard 0 ─┐
-//! BatchRead ──┼─ router 1 ─ partition ─┼─ ticket ─┼─▶ shard 1 ─┼─▶ merge
-//!  (shared)   └─ router R ─ partition ─┘  order   └─▶ shard N ─┘
-//!
-//! routing=serial — the original dedicated router thread:
 //!                    ┌── batch channel ──▶ shard 0: FlowAccumulator + TemplateStore ─┐
 //! reader ──▶ router ─┼── batch channel ──▶ shard 1: FlowAccumulator + TemplateStore ─┼─▶ merge
 //!  (any Iterator)    └── batch channel ──▶ shard N: FlowAccumulator + TemplateStore ─┘
 //! ```
 //!
-//! Routing hashes each packet's canonical flow key so both directions
-//! of a conversation land on the same shard; channels are bounded, so a
-//! fast reader is back-pressured instead of buffering the trace. Workers
+//! The router runs on the calling thread and hashes each packet's
+//! canonical flow key so both directions of a conversation land on the
+//! same shard; channels are bounded, so a fast reader is back-pressured
+//! instead of buffering the trace. With one shard there is no router,
+//! channel or worker thread at all: the shard runs inline. Workers
 //! finalize flows online (FIN/RST, idle eviction, end of input) and
 //! cluster them immediately; the merge step folds the per-shard stores
 //! with [`TemplateStore::merge`](flowzip_core::TemplateStore::merge) and
@@ -27,13 +19,13 @@
 use crate::builder::{CancelFlag, EngineBuilder, EngineConfig};
 use crate::obs::{EngineObs, ShardObs};
 use crate::report::EngineReport;
-use crate::route::{shard_of, BatchPackets, IterBatches, Rechunker, RouteFabric, Routing};
+use crate::route::{shard_of, BatchPackets};
 use flowzip_core::datasets::CompressedTrace;
 use flowzip_core::{
     assemble_sections, assemble_shards, ArchiveFormat, CompressionReport, FlowAccumulator,
     FlowAssembler, FlowTelemetry, Params, ShardSection,
 };
-use flowzip_io::{BatchRead, InputSource, WorkerPool};
+use flowzip_io::{BatchRead, WorkerPool};
 use flowzip_trace::prelude::*;
 use flowzip_trace::TraceError;
 use std::sync::mpsc;
@@ -221,9 +213,8 @@ impl ShardWorker {
     }
 }
 
-/// One shard's worker loop under **serial** routing: every received
-/// batch is already an exact router-built block, so it processes as-is
-/// until the channel closes.
+/// One shard's worker loop: every received batch is an exact
+/// router-built block, so it processes as-is until the channel closes.
 fn run_shard(
     rx: mpsc::Receiver<Vec<PacketRecord>>,
     params: Params,
@@ -237,30 +228,6 @@ fn run_shard(
         worker.obs.queue_depth.dec();
         worker.process_batch(&batch);
     }
-    worker.finish(encode)
-}
-
-/// One shard's worker loop under **parallel** routing: arrivals are
-/// variable-size sub-batches (whatever each pulled batch happened to
-/// hash here), so a [`Rechunker`] re-blocks them into exact `batch_size`
-/// chunks first — eviction-scan timing keys off batch boundaries, and
-/// boundaries must match the serial router's for byte-identical output.
-fn run_shard_rechunked(
-    rx: mpsc::Receiver<Vec<PacketRecord>>,
-    params: Params,
-    idle_timeout: Option<Duration>,
-    telemetry: bool,
-    encode: bool,
-    batch_size: usize,
-    obs: ShardObs,
-) -> ShardOutput {
-    let mut worker = ShardWorker::new(params, idle_timeout, telemetry, obs);
-    let mut rechunk = Rechunker::new(batch_size);
-    while let Ok(arrival) = rx.recv() {
-        worker.obs.queue_depth.dec();
-        rechunk.push(arrival, |chunk| worker.process_batch(chunk));
-    }
-    rechunk.finish(|chunk| worker.process_batch(chunk));
     worker.finish(encode)
 }
 
@@ -310,17 +277,18 @@ impl StreamingEngine {
         I::IntoIter: Send,
     {
         let started = Instant::now();
-        let outputs = self.run_routed_iter(input.into_iter(), false)?;
+        let outputs = self.run_pipeline(self.cancellable(input.into_iter()), false)?;
         let (compressed, _, report) = self.merge(outputs, started.elapsed().as_secs_f64());
         Ok((compressed, report))
     }
 
-    /// Compresses a batch-granular source ([`BatchRead`]) — the native
-    /// entry point for multi-file input, where reader threads already
-    /// build whole decoded batches and routing workers can take them
-    /// one channel-receive at a time. Batch *boundaries* carry no
-    /// meaning (the [`BatchRead`] contract), so output is identical to
-    /// compressing the concatenated packet stream.
+    /// Compresses a batch-granular source ([`BatchRead`]) — the entry
+    /// point for multi-file input and `flowzip serve`'s rotation
+    /// windows. Cancellation is checked between pulled batches, so a
+    /// batch the source handed over is always compressed whole. Batch
+    /// *boundaries* carry no meaning (the [`BatchRead`] contract), so
+    /// output is identical to compressing the concatenated packet
+    /// stream.
     ///
     /// # Errors
     ///
@@ -337,7 +305,7 @@ impl StreamingEngine {
         B: BatchRead + Send,
     {
         let started = Instant::now();
-        let outputs = self.run_routed_batches(source, false)?;
+        let outputs = self.run_pipeline(BatchPackets::new(self.cancellable(source)), false)?;
         let (compressed, _, report) = self.merge(outputs, started.elapsed().as_secs_f64());
         Ok((compressed, report))
     }
@@ -361,7 +329,7 @@ impl StreamingEngine {
     {
         let started = Instant::now();
         let encode = self.config.format == ArchiveFormat::V2;
-        let outputs = self.run_routed_batches(source, encode)?;
+        let outputs = self.run_pipeline(BatchPackets::new(self.cancellable(source)), encode)?;
         Ok(self.outputs_to_bytes(outputs, started))
     }
 
@@ -389,7 +357,7 @@ impl StreamingEngine {
     {
         let started = Instant::now();
         let encode = self.config.format == ArchiveFormat::V2;
-        let outputs = self.run_routed_iter(input.into_iter(), encode)?;
+        let outputs = self.run_pipeline(self.cancellable(input.into_iter()), encode)?;
         Ok(self.outputs_to_bytes(outputs, started))
     }
 
@@ -467,117 +435,12 @@ impl StreamingEngine {
         }
     }
 
-    /// Dispatches an iterator input on the [`Routing`] knob: the serial
-    /// router consumes it per-packet; parallel routing chunks it into
-    /// `batch_size` batches ([`IterBatches`]) so routing workers can
-    /// share it at O(1) lock-held work per batch.
-    fn run_routed_iter<I>(&self, input: I, encode: bool) -> Result<Vec<ShardOutput>, TraceError>
-    where
-        I: Iterator<Item = Result<PacketRecord, TraceError>> + Send,
-    {
-        let input = Cancellable {
-            inner: input,
+    /// Wraps an input so the run's [`CancelFlag`] can end it early.
+    fn cancellable<T>(&self, inner: T) -> Cancellable<T> {
+        Cancellable {
+            inner,
             cancel: self.config.cancel.clone(),
-        };
-        match self.config.routing {
-            Routing::Serial => self.run_pipeline(input, encode),
-            Routing::Parallel => {
-                self.run_pipeline_parallel(IterBatches::new(input, self.config.batch_size), encode)
-            }
         }
-    }
-
-    /// Dispatches a batch-granular source on the [`Routing`] knob: the
-    /// serial router flattens it back to packets ([`BatchPackets`]);
-    /// parallel routing consumes it natively.
-    fn run_routed_batches<B>(&self, source: B, encode: bool) -> Result<Vec<ShardOutput>, TraceError>
-    where
-        B: BatchRead + Send,
-    {
-        let source = Cancellable {
-            inner: source,
-            cancel: self.config.cancel.clone(),
-        };
-        match self.config.routing {
-            Routing::Serial => self.run_pipeline(BatchPackets::new(source), encode),
-            Routing::Parallel => self.run_pipeline_parallel(source, encode),
-        }
-    }
-
-    /// The parallel-routing pipeline: `routers` routing workers share
-    /// the [`BatchRead`] source behind the [`RouteFabric`], hash their
-    /// own pulled batches concurrently, and deliver shard-sticky
-    /// sub-batches in sequence-ticket order; each shard re-chunks its
-    /// arrivals to exact `batch_size` blocks. Per-shard packet order
-    /// and batch boundaries both equal the serial router's, so output
-    /// is byte-identical (see [`crate::route`]).
-    fn run_pipeline_parallel<B>(
-        &self,
-        source: B,
-        encode: bool,
-    ) -> Result<Vec<ShardOutput>, TraceError>
-    where
-        B: BatchRead + Send,
-    {
-        let config = &self.config;
-        if config.shards == 1 {
-            // Routing cannot be the bottleneck of one shard: take the
-            // serial path's inline fast path (no channels, no threads),
-            // which rebuilds the same batch_size blocks from the
-            // flattened stream.
-            return self.run_pipeline(BatchPackets::new(source), encode);
-        }
-        let routers = config.routers.max(1);
-        let obs = EngineObs::new(&config.metrics, &config.profiler, config.shards);
-        let fabric = RouteFabric::new(source, config.shards, obs.route.clone());
-
-        // Boxed because the task list mixes shard loops (return
-        // Some(output)) with extra routing workers (return None, borrow
-        // the fabric); the scoped pool lets both borrow this frame.
-        let mut senders = Vec::with_capacity(config.shards);
-        let mut tasks: Vec<Box<dyn FnOnce() -> Option<ShardOutput> + Send + '_>> =
-            Vec::with_capacity(config.shards + routers - 1);
-        for shard_obs in obs.shards.iter().cloned() {
-            let (tx, rx) = mpsc::sync_channel::<Vec<PacketRecord>>(config.channel_capacity);
-            let params = config.params.clone();
-            let idle_timeout = config.idle_timeout;
-            let telemetry = config.telemetry;
-            let batch_size = config.batch_size;
-            senders.push(tx);
-            tasks.push(Box::new(move || {
-                Some(run_shard_rechunked(
-                    rx,
-                    params,
-                    idle_timeout,
-                    telemetry,
-                    encode,
-                    batch_size,
-                    shard_obs,
-                ))
-            }));
-        }
-        for _ in 1..routers {
-            let fabric = &fabric;
-            let senders = senders.clone();
-            tasks.push(Box::new(move || {
-                fabric.run_router(senders);
-                None
-            }));
-        }
-
-        // Every task must run concurrently (shards block on recv, extra
-        // routers block on the sequencer), so the pool is sized to the
-        // task count; router 0 runs in the foreground on this thread and
-        // owns the original senders — the shard channels close when the
-        // last router drops its clones.
-        let pool = WorkerPool::new(config.shards + routers - 1);
-        let (outputs, ()) = pool.run_with(tasks, {
-            let fabric = &fabric;
-            move || fabric.run_router(senders)
-        });
-        let outputs: Vec<ShardOutput> = outputs.into_iter().flatten().collect();
-        fabric.into_result()?;
-        Ok(outputs)
     }
 
     /// Runs the read → route → shard pipeline, returning per-shard
@@ -631,7 +494,7 @@ impl StreamingEngine {
             tasks.push(move || run_shard(rx, params, idle_timeout, telemetry, encode, shard_obs));
         }
 
-        let queue_depth = obs.route.queue_depth.clone();
+        let queue_depth: Vec<_> = obs.shards.iter().map(|s| s.queue_depth.clone()).collect();
         let pool = WorkerPool::new(config.shards);
         let (outputs, input_err) = pool.run_with(tasks, move || {
             let mut buffers: Vec<Vec<PacketRecord>> = (0..config.shards)
@@ -682,119 +545,6 @@ impl StreamingEngine {
         }
     }
 
-    /// Compresses a pluggable [`InputSource`] — a
-    /// [`FileSource`](flowzip_io::FileSource) (optionally prefetched) or
-    /// a [`MultiFileSource`](flowzip_io::MultiFileSource) over a
-    /// pre-split capture set — and fills the report's
-    /// read-wait vs. compute split from the source's
-    /// [`IoStats`](flowzip_io::IoStats).
-    ///
-    /// # Errors
-    ///
-    /// The first reader error aborts the run and is returned.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises panics from worker threads.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use flowzip-pipeline's Pipeline::compress().input(Input::source(..)) session API"
-    )]
-    pub fn compress_source<S: InputSource>(
-        &self,
-        source: S,
-    ) -> Result<(CompressedTrace, EngineReport), TraceError>
-    where
-        S::Packets: Send,
-    {
-        let stats = source.stats();
-        let (compressed, mut report) = self.compress_stream(source.into_packets())?;
-        fill_read_wait(&mut report, &stats);
-        Ok((compressed, report))
-    }
-
-    /// [`StreamingEngine::compress_source`] straight to serialized
-    /// archive bytes in the configured [`ArchiveFormat`].
-    ///
-    /// # Errors
-    ///
-    /// The first reader error aborts the run and is returned.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises panics from worker threads.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use flowzip-pipeline's Pipeline::compress().input(Input::source(..)) session API"
-    )]
-    pub fn compress_source_to_bytes<S: InputSource>(
-        &self,
-        source: S,
-    ) -> Result<(Vec<u8>, EngineReport), TraceError>
-    where
-        S::Packets: Send,
-    {
-        let stats = source.stats();
-        let (bytes, mut report) = self.compress_stream_to_bytes(source.into_packets())?;
-        fill_read_wait(&mut report, &stats);
-        Ok((bytes, report))
-    }
-
-    /// Convenience: compresses an infallible packet sequence.
-    ///
-    /// # Errors
-    ///
-    /// Never fails; the `Result` mirrors [`StreamingEngine::compress_stream`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use flowzip-pipeline's Pipeline::compress().input(Input::packets(..)) session API"
-    )]
-    pub fn compress_packets<I>(
-        &self,
-        packets: I,
-    ) -> Result<(CompressedTrace, EngineReport), TraceError>
-    where
-        I: IntoIterator<Item = PacketRecord>,
-        I::IntoIter: Send,
-    {
-        self.compress_stream(packets.into_iter().map(Ok))
-    }
-
-    /// Convenience: compresses an in-memory trace (the batch-compressor
-    /// interface, for comparisons and tests).
-    ///
-    /// # Errors
-    ///
-    /// Never fails; the `Result` mirrors [`StreamingEngine::compress_stream`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use flowzip-pipeline's Pipeline::compress().input(Input::trace(..)) session API"
-    )]
-    pub fn compress_trace(
-        &self,
-        trace: &Trace,
-    ) -> Result<(CompressedTrace, EngineReport), TraceError> {
-        self.compress_stream(trace.iter().cloned().map(Ok))
-    }
-
-    /// Convenience: compresses an in-memory trace straight to archive
-    /// bytes in the configured format.
-    ///
-    /// # Errors
-    ///
-    /// Never fails; the `Result` mirrors
-    /// [`StreamingEngine::compress_stream_to_bytes`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use flowzip-pipeline's Pipeline::compress().input(Input::trace(..)) session API"
-    )]
-    pub fn compress_trace_to_bytes(
-        &self,
-        trace: &Trace,
-    ) -> Result<(Vec<u8>, EngineReport), TraceError> {
-        self.compress_stream_to_bytes(trace.iter().cloned().map(Ok))
-    }
-
     /// Folds per-shard outputs into one archive plus the aggregate
     /// report. The dataset assembly itself is `flowzip-core`'s
     /// [`assemble_shards`] — the same code the batch compressor runs —
@@ -834,23 +584,14 @@ impl StreamingEngine {
         report: CompressionReport,
     ) -> EngineReport {
         let elapsed = elapsed_secs.max(f64::EPSILON);
-        // Routers the run *actually* used: serial routing and the
-        // single-shard inline fast path both route on one thread.
-        let routers = match self.config.routing {
-            Routing::Serial => 1,
-            Routing::Parallel if self.config.shards == 1 => 1,
-            Routing::Parallel => self.config.routers.max(1),
-        };
         let mut engine_report = EngineReport {
             shards: self.config.shards,
-            routing: self.config.routing,
-            routers,
             elapsed_secs,
             packets_per_sec: agg.packets as f64 / elapsed,
             mb_per_sec: agg.tsh_bytes as f64 / elapsed / 1e6,
             evicted_flows: agg.evicted,
-            // Raw-iterator runs carry no IoStats handle; the
-            // compress_source entry points overwrite the split.
+            // The engine sees no IoStats handle; callers that own the
+            // source (the pipeline) fill the split from its stats.
             read_wait_secs: 0.0,
             compute_secs: elapsed_secs,
             serialize_secs: 0.0,
@@ -863,15 +604,6 @@ impl StreamingEngine {
         engine_report.reconcile_time_split();
         engine_report
     }
-}
-
-/// Fills a report's read-wait/compute split from a drained source's
-/// stats. The wait is clamped to elapsed (counters tick on reader
-/// threads and can race the last wall-clock read by microseconds).
-fn fill_read_wait(report: &mut EngineReport, stats: &flowzip_io::IoStats) {
-    report.read_wait_secs = stats.read_wait_secs().min(report.elapsed_secs);
-    report.compute_secs = (report.elapsed_secs - report.read_wait_secs).max(0.0);
-    report.reconcile_time_split();
 }
 
 /// Throughput/memory counters folded over per-shard outputs — computed
@@ -907,10 +639,6 @@ impl ShardAggregates {
 }
 
 #[cfg(test)]
-// The unit tests deliberately keep exercising the deprecated convenience
-// shims: they must stay behaviorally identical to the primitives until
-// they are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use flowzip_core::Compressor;
@@ -927,7 +655,7 @@ mod tests {
     #[test]
     fn empty_input_produces_empty_archive() {
         let engine = StreamingEngine::builder().shards(2).build();
-        let (ct, report) = engine.compress_packets(Vec::new()).unwrap();
+        let (ct, report) = engine.compress_stream(Vec::new()).unwrap();
         assert_eq!(ct.flow_count(), 0);
         assert_eq!(report.report.packets, 0);
         assert_eq!(report.report.ratio_vs_tsh, 0.0);
@@ -956,12 +684,11 @@ mod tests {
         // 200 single-packet flows; the flag flips after packet 50, so the
         // run must end early yet still produce a decodable archive whose
         // packet count covers at least everything pulled before the flip.
-        for routing in [Routing::Serial, Routing::Parallel] {
+        for shards in [1usize, 2] {
             let flag = Arc::new(AtomicBool::new(false));
             let engine = StreamingEngine::builder()
-                .shards(2)
+                .shards(shards)
                 .batch_size(8)
-                .routing(routing)
                 .cancel_flag(flag.clone())
                 .build();
             let tripwire = flag.clone();
@@ -976,7 +703,7 @@ mod tests {
             let (bytes, report) = engine.compress_stream_to_bytes(input).unwrap();
             assert!(
                 report.report.packets >= 50 && report.report.packets < 200,
-                "routing={routing:?}: expected a partial run, got {} packets",
+                "{shards} shards: expected a partial run, got {} packets",
                 report.report.packets
             );
             let decoded = CompressedTrace::from_bytes(&bytes).unwrap();
@@ -1015,7 +742,9 @@ mod tests {
                 .shards(shards)
                 .batch_size(4)
                 .build();
-            let (ct, streamed) = engine.compress_trace(&trace).unwrap();
+            let (ct, streamed) = engine
+                .compress_stream(trace.iter().cloned().map(Ok))
+                .unwrap();
             assert_eq!(streamed.report.packets, batch.packets);
             assert_eq!(streamed.report.flows, batch.flows);
             assert_eq!(streamed.report.short_flows, batch.short_flows);
@@ -1046,8 +775,12 @@ mod tests {
                 .batch_size(8)
                 .format(ArchiveFormat::V2)
                 .build();
-            let (v1_bytes, v1_report) = v1_engine.compress_trace_to_bytes(&trace).unwrap();
-            let (v2_bytes, v2_report) = v2_engine.compress_trace_to_bytes(&trace).unwrap();
+            let (v1_bytes, v1_report) = v1_engine
+                .compress_stream_to_bytes(trace.iter().cloned().map(Ok))
+                .unwrap();
+            let (v2_bytes, v2_report) = v2_engine
+                .compress_stream_to_bytes(trace.iter().cloned().map(Ok))
+                .unwrap();
 
             assert_eq!(ArchiveFormat::detect(&v1_bytes).unwrap(), ArchiveFormat::V1);
             assert_eq!(ArchiveFormat::detect(&v2_bytes).unwrap(), ArchiveFormat::V2);
@@ -1078,7 +811,9 @@ mod tests {
         }
         let (batch_archive, _) = Compressor::new(Params::paper()).compress(&trace);
         let engine = StreamingEngine::builder().shards(1).build();
-        let (bytes, _) = engine.compress_trace_to_bytes(&trace).unwrap();
+        let (bytes, _) = engine
+            .compress_stream_to_bytes(trace.iter().cloned().map(Ok))
+            .unwrap();
         assert_eq!(bytes, batch_archive.to_bytes_v2());
     }
 
@@ -1127,8 +862,12 @@ mod tests {
                 .telemetry(true)
                 .metrics(metrics.clone())
                 .build();
-            let (off_bytes, _) = off.compress_trace_to_bytes(&trace).unwrap();
-            let (on_bytes, _) = on.compress_trace_to_bytes(&trace).unwrap();
+            let (off_bytes, _) = off
+                .compress_stream_to_bytes(trace.iter().cloned().map(Ok))
+                .unwrap();
+            let (on_bytes, _) = on
+                .compress_stream_to_bytes(trace.iter().cloned().map(Ok))
+                .unwrap();
 
             // The FZT1 block is a pure suffix: stripping it reproduces
             // the telemetry-off archive byte for byte.
@@ -1183,7 +922,9 @@ mod tests {
             .batch_size(64)
             .idle_timeout(Some(Duration::from_secs(1)))
             .build();
-        let (_, with_eviction) = bounded.compress_packets(packets.clone()).unwrap();
+        let (_, with_eviction) = bounded
+            .compress_stream(packets.iter().cloned().map(Ok))
+            .unwrap();
         assert_eq!(
             with_eviction.report.flows, 2_000,
             "every flow still reported"
@@ -1197,7 +938,9 @@ mod tests {
         assert!(with_eviction.evicted_flows > 1_000);
 
         let unbounded = StreamingEngine::builder().shards(2).batch_size(64).build();
-        let (_, without) = unbounded.compress_packets(packets).unwrap();
+        let (_, without) = unbounded
+            .compress_stream(packets.into_iter().map(Ok))
+            .unwrap();
         assert_eq!(
             without.peak_active_flows(),
             2_000,

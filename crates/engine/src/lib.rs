@@ -11,23 +11,19 @@
 //!   streaming [`TshReader`](flowzip_trace::TshReader) /
 //!   [`PcapReader`](flowzip_trace::PcapReader). Pluggable
 //!   [`InputSource`](flowzip_io::InputSource)s go through
-//!   [`StreamingEngine::compress_source`]: a prefetched
+//!   `flowzip-pipeline`'s `Input::file`/`Input::files`: a prefetched
 //!   [`FileSource`](flowzip_io::FileSource) or a parallel-reader
 //!   [`MultiFileSource`](flowzip_io::MultiFileSource) overlaps disk and
-//!   decode with compute, and the [`EngineReport`] then splits
-//!   wall-clock into read-wait vs. compute.
-//! * **Flow sharding** — each packet is routed by the hash of its
-//!   canonical flow key across N worker threads, so every packet of a
-//!   flow lands on the same shard and per-flow state never needs locks.
-//!   Packets travel in batches over bounded channels to amortize send
-//!   overhead and to apply back-pressure to the reader.
-//! * **Parallel routing** — by default ([`Routing::Parallel`]) the
-//!   flow-key hashing itself runs on a pool of routing workers that
-//!   share a batch-granular source
-//!   ([`BatchRead`](flowzip_io::BatchRead)) and deliver in a stable
-//!   sequence-ticket order, removing the dedicated-router-thread
-//!   ceiling; `Routing::Serial` keeps the original topology, and both
-//!   produce **byte-identical** archives (see [`route`]).
+//!   decode with compute; batch-granular sources
+//!   ([`BatchRead`](flowzip_io::BatchRead)) enter through
+//!   [`StreamingEngine::compress_batches_to_bytes`].
+//! * **Flow sharding** — with N > 1 shards, the calling thread routes
+//!   each packet by the hash of its canonical flow key across N worker
+//!   threads, so every packet of a flow lands on the same shard and
+//!   per-flow state never needs locks. Packets travel in batches over
+//!   bounded channels to amortize send overhead and to apply
+//!   back-pressure to the reader. One shard (the default) runs inline,
+//!   with no channel and no extra thread.
 //! * **Bounded memory** — each shard runs its own
 //!   [`FlowAccumulator`](flowzip_core::FlowAccumulator) with idle-flow
 //!   timeout eviction and drains finished flows into a shard-local
@@ -51,10 +47,8 @@
 //! [`StreamingEngine::compress_stream`] (in-memory archive + report) and
 //! [`StreamingEngine::compress_stream_to_bytes`] (serialized container).
 //! Applications normally sit one level up, on `flowzip-pipeline`'s
-//! `Pipeline::compress()` session API, which routes between this engine
-//! and the batch compressor; the old per-input convenience wrappers
-//! (`compress_trace`, `compress_packets`, `compress_source`, …) remain as
-//! deprecated shims over the primitives.
+//! `Pipeline::compress()` session API, which runs every compression
+//! through this engine.
 //!
 //! ```
 //! use flowzip_engine::StreamingEngine;
@@ -75,12 +69,11 @@ pub mod builder;
 pub mod engine;
 mod obs;
 pub mod report;
-pub mod route;
+mod route;
 
 pub use builder::{CancelFlag, ConfigError, EngineBuilder, EngineConfig};
 pub use engine::StreamingEngine;
 pub use report::EngineReport;
-pub use route::Routing;
 
 // Re-exported so engine embedders can enable observability without a
 // direct `flowzip-obs` dependency.

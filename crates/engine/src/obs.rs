@@ -44,24 +44,13 @@ pub(crate) struct ShardObs {
     pub(crate) track: Track,
 }
 
-/// The shared routing-side handles: the ticket-wait histogram plus the
-/// sending half of every shard's queue-depth gauge.
-#[derive(Debug, Clone)]
-pub(crate) struct RouteObs {
-    /// `engine.router.ticket_wait_ns` — time blocked on the delivery
-    /// sequencer (parallel routing only).
-    pub(crate) ticket_wait: Histogram,
-    /// Queue-depth gauges by shard index, incremented on send.
-    pub(crate) queue_depth: Vec<Gauge>,
-}
-
-/// One run's full handle bundle. (The container-tail instruments are
-/// resolved separately in `outputs_to_bytes` — serialization happens
-/// after the worker pool joined, outside any run bundle.)
+/// One run's full handle bundle, one entry per shard. (The
+/// container-tail instruments are resolved separately in
+/// `outputs_to_bytes` — serialization happens after the worker pool
+/// joined, outside any run bundle.)
 #[derive(Debug)]
 pub(crate) struct EngineObs {
     pub(crate) shards: Vec<ShardObs>,
-    pub(crate) route: RouteObs,
 }
 
 impl EngineObs {
@@ -76,7 +65,7 @@ impl EngineObs {
         let telemetry_rtt_samples = metrics.counter(names::TELEMETRY_RTT_SAMPLES);
         let telemetry_rtt_us =
             metrics.histogram(names::TELEMETRY_RTT_US, flowzip_obs::RTT_US_BOUNDS);
-        let shard_obs = (0..shards)
+        let shards = (0..shards)
             .map(|i| ShardObs {
                 queue_depth: metrics.gauge(&names::shard_queue_depth(i)),
                 active_flows: metrics.gauge(&names::shard_active_flows(i)),
@@ -94,16 +83,7 @@ impl EngineObs {
                 telemetry_rtt_us: telemetry_rtt_us.clone(),
                 track: profiler.track(&format!("shard-{i}")),
             })
-            .collect::<Vec<_>>();
-        EngineObs {
-            route: RouteObs {
-                ticket_wait: metrics.histogram(
-                    names::ROUTER_TICKET_WAIT_NS,
-                    flowzip_obs::DURATION_NS_BOUNDS,
-                ),
-                queue_depth: shard_obs.iter().map(|s| s.queue_depth.clone()).collect(),
-            },
-            shards: shard_obs,
-        }
+            .collect();
+        EngineObs { shards }
     }
 }

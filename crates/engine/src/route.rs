@@ -1,100 +1,14 @@
-//! Reader-side parallel routing: N routing workers share a
-//! [`BatchRead`] source, hash their own batches in parallel, and deliver
-//! shard-sticky sub-batches in a globally stable order.
-//!
-//! ```text
-//!             ┌─ router 0 ─ partition ─┐          ┌─▶ shard 0
-//! BatchRead ──┼─ router 1 ─ partition ─┼─ ticket ─┼─▶ shard 1   (bounded
-//!  (shared)   └─ router R ─ partition ─┘  order   └─▶ shard S    MPSC)
-//! ```
-//!
-//! The serial router (`routing=serial`) hashes every packet on one
-//! thread; with 4+ readers and 8+ shards it is the measured bottleneck.
-//! Here the expensive per-packet work — flow-key hashing and partition
-//! into per-shard buffers — runs on all R workers at once. Only two
-//! things stay serialized, both O(1) per *batch*:
-//!
-//! 1. **The pull.** Workers take the source mutex, receive one whole
-//!    decoded batch ([`BatchRead::next_batch`] — for multi-file input
-//!    that is a single channel `recv` of a `Vec` a reader thread already
-//!    built), and are assigned a monotonically increasing **sequence
-//!    ticket** under the same lock.
-//! 2. **The delivery.** A sequencer admits workers to the per-shard
-//!    channels strictly in ticket order, so shard `s` receives exactly
-//!    the packet subsequence it would have received from the serial
-//!    router, in the same order — whatever the worker count or OS
-//!    schedule.
-//!
-//! Determinism is therefore structural, not statistical: per-shard
-//! arrival order equals serial arrival order, and the shard loop
-//! re-chunks arrivals into exact `batch_size` blocks
-//! (`Rechunker`), so even idle-eviction scan timing (which keys off
-//! batch boundaries) is identical. Byte-identical output is pinned by
-//! the `routing_equivalence` proptest battery.
-//!
-//! Liveness: a shard worker always drains its channel (its only blocking
-//! operation is `recv`), so a routing worker blocked on a full shard
-//! channel is exactly back-pressure, never deadlock; and every assigned
-//! ticket belongs to a live worker that completes its delivery, so
-//! ticket waiters always make progress. The first input error is
-//! recorded under the source lock — pulls are serialized and sources are
-//! fused after an error, so it is *the* first error of the stream, at
-//! the same packet position the serial router would have reported.
+//! Router helpers: which shard owns a packet, and the bridge that lets
+//! a batch-granular [`BatchRead`] source feed the per-packet router.
 
-use crate::obs::RouteObs;
 use flowzip_io::BatchRead;
 use flowzip_trace::{PacketRecord, TraceError};
-use std::sync::mpsc::SyncSender;
-use std::sync::{Condvar, Mutex};
-
-/// How packets travel from input to shards. See the
-/// [module docs](self) for the parallel topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Routing {
-    /// One dedicated router thread hashes and dispatches every packet —
-    /// the original topology, kept as a fallback for single-core hosts
-    /// and as the reference the equivalence suite compares against.
-    Serial,
-    /// Reader-side routing (the default): routing workers pull whole
-    /// batches from the shared source, hash in parallel, and deliver to
-    /// per-shard channels in sequence-ticket order.
-    #[default]
-    Parallel,
-}
-
-impl Routing {
-    /// Parses the CLI spelling (`serial` | `parallel`).
-    ///
-    /// # Errors
-    ///
-    /// A descriptive message naming the accepted spellings.
-    pub fn parse(name: &str) -> Result<Routing, String> {
-        match name {
-            "serial" => Ok(Routing::Serial),
-            "parallel" => Ok(Routing::Parallel),
-            other => Err(format!(
-                "unknown routing `{other}` (want serial or parallel)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for Routing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Routing::Serial => write!(f, "serial"),
-            Routing::Parallel => write!(f, "parallel"),
-        }
-    }
-}
 
 /// Which shard owns a packet: a cheap direction-free FNV-1a over the
 /// endpoint pair, so both directions of a conversation land together.
-/// Under serial routing this runs on the single router thread for every
-/// packet — it must cost far less than the per-packet work it fans out
-/// (SipHash here halves router throughput for no distributional
-/// benefit); under parallel routing it is exactly the work that now runs
-/// on all routing workers at once.
+/// This runs on the router thread for every packet — it must cost far
+/// less than the per-packet work it fans out (SipHash here halves
+/// router throughput for no distributional benefit).
 pub(crate) fn shard_of(p: &PacketRecord, shards: usize) -> usize {
     let t = p.tuple();
     let a = (u32::from(t.src_ip), t.src_port);
@@ -114,65 +28,8 @@ pub(crate) fn shard_of(p: &PacketRecord, shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
-/// Adapts any fallible packet iterator to [`BatchRead`] by chunking —
-/// the bridge that lets `compress_stream`'s generic iterator input run
-/// under parallel routing. On an input error the packets decoded before
-/// it are yielded first (their own batch), then the error, matching
-/// [`MultiFileIter`](flowzip_io::MultiFileIter)'s native behavior.
-pub(crate) struct IterBatches<I> {
-    input: I,
-    batch_size: usize,
-    pending_err: Option<TraceError>,
-    done: bool,
-}
-
-impl<I> IterBatches<I> {
-    pub(crate) fn new(input: I, batch_size: usize) -> IterBatches<I> {
-        IterBatches {
-            input,
-            batch_size: batch_size.max(1),
-            pending_err: None,
-            done: false,
-        }
-    }
-}
-
-impl<I: Iterator<Item = Result<PacketRecord, TraceError>>> BatchRead for IterBatches<I> {
-    fn next_batch(&mut self) -> Option<Result<Vec<PacketRecord>, TraceError>> {
-        if self.done {
-            return None;
-        }
-        if let Some(e) = self.pending_err.take() {
-            self.done = true;
-            return Some(Err(e));
-        }
-        let mut batch = Vec::with_capacity(self.batch_size);
-        while batch.len() < self.batch_size {
-            match self.input.next() {
-                Some(Ok(p)) => batch.push(p),
-                Some(Err(e)) => {
-                    if batch.is_empty() {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                    self.pending_err = Some(e);
-                    return Some(Ok(batch));
-                }
-                None => {
-                    self.done = true;
-                    if batch.is_empty() {
-                        return None;
-                    }
-                    return Some(Ok(batch));
-                }
-            }
-        }
-        Some(Ok(batch))
-    }
-}
-
-/// The inverse bridge: a [`BatchRead`] as a per-packet iterator, for the
-/// serial router path consuming a batch-native source.
+/// A [`BatchRead`] as a per-packet iterator: yields each pulled batch's
+/// packets in order, then the source's error (if any) in its position.
 pub(crate) struct BatchPackets<B> {
     source: B,
     batch: std::vec::IntoIter<PacketRecord>,
@@ -203,193 +60,6 @@ impl<B: BatchRead> Iterator for BatchPackets<B> {
     }
 }
 
-/// Admits routing workers to the shard channels strictly in ticket
-/// order: `wait_turn(t)` blocks until every ticket before `t` has been
-/// delivered and `advance`d. Tickets are assigned under the source lock,
-/// so "ticket order" is "pull order" is "stream order".
-struct Sequencer {
-    turn: Mutex<u64>,
-    ready: Condvar,
-}
-
-impl Sequencer {
-    fn new() -> Sequencer {
-        Sequencer {
-            turn: Mutex::new(0),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn wait_turn(&self, ticket: u64) {
-        let mut turn = self.turn.lock().unwrap_or_else(|e| e.into_inner());
-        while *turn != ticket {
-            turn = self.ready.wait(turn).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn advance(&self) {
-        let mut turn = self.turn.lock().unwrap_or_else(|e| e.into_inner());
-        *turn += 1;
-        drop(turn);
-        self.ready.notify_all();
-    }
-}
-
-/// The shared pull side of the router pool: the source, the ticket
-/// counter and the first-error slot, all under one mutex so a pull and
-/// its ticket are atomic.
-struct SharedSource<B> {
-    source: B,
-    next_ticket: u64,
-    first_err: Option<TraceError>,
-    done: bool,
-}
-
-impl<B: BatchRead> SharedSource<B> {
-    fn pull(&mut self) -> Option<(u64, Vec<PacketRecord>)> {
-        if self.done {
-            return None;
-        }
-        match self.source.next_batch() {
-            Some(Ok(batch)) => {
-                let ticket = self.next_ticket;
-                self.next_ticket += 1;
-                Some((ticket, batch))
-            }
-            Some(Err(e)) => {
-                // Pulls are serialized and sources are fused, so this is
-                // the stream's first error; stop every worker.
-                self.first_err = Some(e);
-                self.done = true;
-                None
-            }
-            None => {
-                self.done = true;
-                None
-            }
-        }
-    }
-}
-
-/// The distribution fabric one parallel run shares: the pullable source,
-/// the delivery sequencer and the shard senders. Workers borrow it from
-/// the engine's stack across the scoped pool.
-pub(crate) struct RouteFabric<B> {
-    shared: Mutex<SharedSource<B>>,
-    sequencer: Sequencer,
-    shards: usize,
-    obs: RouteObs,
-}
-
-impl<B: BatchRead> RouteFabric<B> {
-    pub(crate) fn new(source: B, shards: usize, obs: RouteObs) -> RouteFabric<B> {
-        RouteFabric {
-            shared: Mutex::new(SharedSource {
-                source,
-                next_ticket: 0,
-                first_err: None,
-                done: false,
-            }),
-            sequencer: Sequencer::new(),
-            shards,
-            obs,
-        }
-    }
-
-    /// One routing worker's whole job: pull → partition (in parallel
-    /// with the other workers) → deliver in ticket order, until the
-    /// source is exhausted or errored. Each worker owns its own clones
-    /// of the shard senders; the channels close when the last worker
-    /// returns and drops them.
-    pub(crate) fn run_router(&self, senders: Vec<SyncSender<Vec<PacketRecord>>>) {
-        loop {
-            let pulled = {
-                let mut shared = self.shared.lock().unwrap_or_else(|e| e.into_inner());
-                shared.pull()
-            };
-            let Some((ticket, batch)) = pulled else {
-                return;
-            };
-            // The per-packet work, outside every lock.
-            let mut parts: Vec<Vec<PacketRecord>> = (0..self.shards).map(|_| Vec::new()).collect();
-            for p in batch {
-                let s = shard_of(&p, self.shards);
-                parts[s].push(p);
-            }
-            let wait = self.obs.ticket_wait.start();
-            self.sequencer.wait_turn(ticket);
-            self.obs.ticket_wait.record_since(wait);
-            for (s, part) in parts.into_iter().enumerate() {
-                if !part.is_empty() {
-                    // A send can only fail if the shard died; the pool's
-                    // join re-raises its panic after delivery unwinds.
-                    if senders[s].send(part).is_ok() {
-                        self.obs.queue_depth[s].inc();
-                    }
-                }
-            }
-            self.sequencer.advance();
-        }
-    }
-
-    /// Consumes the fabric after the pool joined, surfacing the first
-    /// input error (if any).
-    pub(crate) fn into_result(self) -> Result<(), TraceError> {
-        let shared = self.shared.into_inner().unwrap_or_else(|e| e.into_inner());
-        match shared.first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Re-chunks a shard's arrival stream into exact `batch_size` blocks so
-/// the accumulator sees the very same `process_batch` boundaries the
-/// serial router produces — sub-batch sizes on the wire vary with what
-/// each pulled batch happened to hash here, but eviction-scan timing
-/// keys off batch boundaries, so boundaries must not.
-pub(crate) struct Rechunker {
-    pending: Vec<PacketRecord>,
-    batch_size: usize,
-}
-
-impl Rechunker {
-    pub(crate) fn new(batch_size: usize) -> Rechunker {
-        Rechunker {
-            pending: Vec::new(),
-            batch_size: batch_size.max(1),
-        }
-    }
-
-    /// Absorbs an arrival, handing every completed `batch_size` block to
-    /// `process`.
-    pub(crate) fn push(
-        &mut self,
-        mut arrival: Vec<PacketRecord>,
-        mut process: impl FnMut(&[PacketRecord]),
-    ) {
-        if self.pending.is_empty() && arrival.len() == self.batch_size {
-            // Boundaries already aligned (the common case when one pulled
-            // batch hashes entirely here): no copy, no re-buffer.
-            process(&arrival);
-            return;
-        }
-        self.pending.append(&mut arrival);
-        while self.pending.len() >= self.batch_size {
-            let rest = self.pending.split_off(self.batch_size);
-            process(&self.pending);
-            self.pending = rest;
-        }
-    }
-
-    /// Hands the final partial block (if any) to `process`.
-    pub(crate) fn finish(self, mut process: impl FnMut(&[PacketRecord])) {
-        if !self.pending.is_empty() {
-            process(&self.pending);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,100 +74,28 @@ mod tests {
             .build()
     }
 
-    #[test]
-    fn routing_parses_and_displays_both_spellings() {
-        assert_eq!(Routing::parse("serial").unwrap(), Routing::Serial);
-        assert_eq!(Routing::parse("parallel").unwrap(), Routing::Parallel);
-        assert_eq!(Routing::Serial.to_string(), "serial");
-        assert_eq!(Routing::Parallel.to_string(), "parallel");
-        assert!(Routing::parse("fast").unwrap_err().contains("fast"));
-        assert_eq!(Routing::default(), Routing::Parallel);
-    }
+    /// Hands out pre-built batches, then a final item (an error or end).
+    struct Batches(std::vec::IntoIter<Result<Vec<PacketRecord>, TraceError>>);
 
-    #[test]
-    fn iter_batches_chunks_and_yields_trailing_partial() {
-        let packets: Vec<_> = (0..10u64).map(|i| pkt(4000 + i as u16, i)).collect();
-        let mut b = IterBatches::new(packets.iter().cloned().map(Ok), 4);
-        assert_eq!(b.next_batch().unwrap().unwrap().len(), 4);
-        assert_eq!(b.next_batch().unwrap().unwrap().len(), 4);
-        assert_eq!(b.next_batch().unwrap().unwrap(), packets[8..].to_vec());
-        assert!(b.next_batch().is_none());
-        assert!(b.next_batch().is_none(), "fused");
-    }
-
-    #[test]
-    fn iter_batches_yields_decoded_packets_before_the_error() {
-        let input = vec![
-            Ok(pkt(4000, 0)),
-            Ok(pkt(4001, 1)),
-            Err(TraceError::TruncatedRecord { got: 3, need: 44 }),
-            Ok(pkt(4002, 2)),
-        ];
-        let mut b = IterBatches::new(input.into_iter(), 8);
-        assert_eq!(b.next_batch().unwrap().unwrap().len(), 2);
-        assert!(matches!(
-            b.next_batch().unwrap().unwrap_err(),
-            TraceError::TruncatedRecord { got: 3, need: 44 }
-        ));
-        assert!(b.next_batch().is_none(), "fused after error");
-    }
-
-    #[test]
-    fn iter_batches_leading_error_comes_through_directly() {
-        let input = vec![Err(TraceError::InvalidTrace("bad magic".into()))];
-        let mut b = IterBatches::new(input.into_iter(), 8);
-        assert!(b.next_batch().unwrap().is_err());
-        assert!(b.next_batch().is_none());
-    }
-
-    #[test]
-    fn batch_packets_round_trips_iter_batches() {
-        let packets: Vec<_> = (0..23u64).map(|i| pkt(5000 + i as u16, i)).collect();
-        let got: Vec<_> = BatchPackets::new(IterBatches::new(packets.iter().cloned().map(Ok), 5))
-            .map(|p| p.unwrap())
-            .collect();
-        assert_eq!(got, packets);
-    }
-
-    #[test]
-    fn rechunker_reproduces_serial_batch_boundaries() {
-        // Arrivals of ragged sizes; blocks must come out as exact 4s
-        // plus one trailing partial, regardless.
-        let packets: Vec<_> = (0..11u64).map(|i| pkt(6000 + i as u16, i)).collect();
-        let mut chunks: Vec<Vec<PacketRecord>> = Vec::new();
-        let mut rc = Rechunker::new(4);
-        for arrival in [
-            &packets[0..1],
-            &packets[1..6],
-            &packets[6..9],
-            &packets[9..11],
-        ] {
-            rc.push(arrival.to_vec(), |c| chunks.push(c.to_vec()));
+    impl BatchRead for Batches {
+        fn next_batch(&mut self) -> Option<Result<Vec<PacketRecord>, TraceError>> {
+            self.0.next()
         }
-        rc.finish(|c| chunks.push(c.to_vec()));
-        assert_eq!(
-            chunks.iter().map(Vec::len).collect::<Vec<_>>(),
-            vec![4, 4, 3]
-        );
-        assert_eq!(chunks.concat(), packets);
     }
 
     #[test]
-    fn sequencer_orders_concurrent_workers() {
-        let seq = Sequencer::new();
-        let order = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            // Spawn in reverse ticket order to force real waiting.
-            for ticket in (0..8u64).rev() {
-                let seq = &seq;
-                let order = &order;
-                s.spawn(move || {
-                    seq.wait_turn(ticket);
-                    order.lock().unwrap().push(ticket);
-                    seq.advance();
-                });
-            }
-        });
-        assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
+    fn batch_packets_flattens_batches_then_surfaces_the_error() {
+        let packets: Vec<_> = (0..23u64).map(|i| pkt(5000 + i as u16, i)).collect();
+        let mut items: Vec<_> = packets.chunks(5).map(|c| Ok(c.to_vec())).collect();
+        items.push(Err(TraceError::TruncatedRecord { got: 3, need: 44 }));
+        let got: Vec<_> = BatchPackets::new(Batches(items.into_iter())).collect();
+        assert_eq!(got.len(), packets.len() + 1);
+        for (g, want) in got.iter().zip(&packets) {
+            assert_eq!(g.as_ref().unwrap(), want);
+        }
+        assert!(matches!(
+            got.last().unwrap(),
+            Err(TraceError::TruncatedRecord { got: 3, need: 44 })
+        ));
     }
 }

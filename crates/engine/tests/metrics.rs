@@ -2,7 +2,7 @@
 //! report honest numbers, leave no queue depth behind, and — above all
 //! — never change the bytes the engine produces.
 
-use flowzip_engine::{Metrics, Profiler, Routing, StreamingEngine};
+use flowzip_engine::{Metrics, Profiler, StreamingEngine};
 use flowzip_obs::names;
 use flowzip_trace::prelude::*;
 
@@ -26,12 +26,10 @@ fn packets(n: u64) -> Vec<PacketRecord> {
         .collect()
 }
 
-fn engine(shards: usize, routing: Routing, metrics: &Metrics) -> StreamingEngine {
+fn engine(shards: usize, metrics: &Metrics) -> StreamingEngine {
     StreamingEngine::builder()
         .shards(shards)
         .batch_size(64)
-        .routing(routing)
-        .routers(2)
         .metrics(metrics.clone())
         .build()
 }
@@ -39,25 +37,23 @@ fn engine(shards: usize, routing: Routing, metrics: &Metrics) -> StreamingEngine
 #[test]
 fn instrumented_run_is_byte_identical_to_uninstrumented() {
     let input = packets(3_000);
-    for routing in [Routing::Serial, Routing::Parallel] {
-        let plain = engine(3, routing, &Metrics::disabled());
+    for shards in [1usize, 3] {
+        let plain = engine(shards, &Metrics::disabled());
         let (baseline, _) = plain
             .compress_stream_to_bytes(input.iter().cloned().map(Ok))
             .unwrap();
         let metrics = Metrics::enabled();
         let profiler = Profiler::enabled();
         let observed = StreamingEngine::builder()
-            .shards(3)
+            .shards(shards)
             .batch_size(64)
-            .routing(routing)
-            .routers(2)
             .metrics(metrics.clone())
             .profiler(profiler.clone())
             .build();
         let (bytes, _) = observed
             .compress_stream_to_bytes(input.iter().cloned().map(Ok))
             .unwrap();
-        assert_eq!(bytes, baseline, "{routing} routing");
+        assert_eq!(bytes, baseline, "{shards} shards");
         assert!(profiler.to_trace_json().contains("\"ph\":\"X\""));
     }
 }
@@ -65,25 +61,25 @@ fn instrumented_run_is_byte_identical_to_uninstrumented() {
 #[test]
 fn queue_depth_gauges_return_to_zero_after_a_clean_run() {
     let input = packets(5_000);
-    for routing in [Routing::Serial, Routing::Parallel] {
+    for shards in [1usize, 4] {
         let metrics = Metrics::enabled();
-        let e = engine(4, routing, &metrics);
+        let e = engine(shards, &metrics);
         let (_, report) = e.compress_stream(input.iter().cloned().map(Ok)).unwrap();
         assert_eq!(report.report.packets, 5_000);
         let snap = metrics.snapshot();
         let depths = snap.queue_depths();
-        assert_eq!(depths.len(), 4, "{routing}: one gauge per shard");
+        assert_eq!(depths.len(), shards, "one gauge per shard");
         for (shard, depth) in depths.iter().enumerate() {
             assert_eq!(
                 *depth, 0,
-                "{routing} routing: shard {shard} leaked queue depth"
+                "{shards} shards: shard {shard} leaked queue depth"
             );
         }
         // Active-flow gauges are reset to zero at shard finalization.
         assert_eq!(
             snap.active_flows(),
             0,
-            "{routing}: active flows after finish"
+            "{shards} shards: active flows after finish"
         );
     }
 }
@@ -126,7 +122,7 @@ fn counters_match_the_engine_report() {
 fn disabled_metrics_register_nothing_and_report_no_stage_time() {
     let input = packets(512);
     let metrics = Metrics::disabled();
-    let e = engine(2, Routing::Parallel, &metrics);
+    let e = engine(2, &metrics);
     let (_, report) = e.compress_stream(input.iter().cloned().map(Ok)).unwrap();
     assert!(metrics.snapshot().is_empty());
     assert_eq!(report.stage_busy_secs, 0.0);

@@ -1,13 +1,9 @@
-//! [`BatchRead`]: batch-granular packet delivery — the hand-off protocol
-//! parallel consumers route on.
+//! [`BatchRead`]: batch-granular packet delivery.
 //!
-//! The per-packet `Iterator` protocol is the right interface for a
-//! single consumer, but it forces whoever fans packets out to touch every
-//! record one at a time. A [`BatchRead`] source instead hands over whole
-//! decoded `Vec<PacketRecord>` batches — one channel receive (or one
-//! chunked pull) per batch — so a *pool* of routing workers can share the
-//! source behind a mutex at O(1) lock-held work per batch and do the
-//! per-packet hashing outside the lock, in parallel.
+//! A [`BatchRead`] source hands over whole decoded `Vec<PacketRecord>`
+//! batches — one channel receive (or one chunked pull) per batch. The
+//! engine checks its cancel flag between pulls, so a source that is cut
+//! (a `flowzip serve` rotation window) never loses half a batch.
 //!
 //! Contract (what makes a `BatchRead` substitutable for the equivalent
 //! per-packet iteration):

@@ -20,9 +20,9 @@
 //!   engine consumes, with read-wait/byte counters that let a run report
 //!   how much wall-clock it lost waiting on input vs. computing.
 //! * [`BatchRead`] — batch-granular packet hand-off: whole decoded
-//!   `Vec<PacketRecord>` batches per pull, so routing work can be shared
-//!   by a pool of consumers at O(1) lock-held work per batch.
-//!   [`MultiFileIter`] implements it natively.
+//!   `Vec<PacketRecord>` batches per pull, so a source can be cut
+//!   between batches (a `flowzip serve` rotation window) without
+//!   splitting one. [`MultiFileIter`] implements it natively.
 //!
 //! ```
 //! use flowzip_io::{InputSource, MultiFileConfig, MultiFileSource};

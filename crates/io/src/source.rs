@@ -39,9 +39,10 @@ pub trait InputSource {
 
 /// The underlying byte stream of a [`FileSource`]: a plain timed file
 /// read, or a prefetch thread. Opaque — it only exists so
-/// [`FileSource`]'s iterator type can be named.
+/// [`FileSource`]'s iterator type can be named. Every non-empty read
+/// (one fill of the capture reader's buffer) counts as one batch.
 #[derive(Debug)]
-pub struct FileStream(Stream);
+pub struct FileStream(Stream, IoStats);
 
 #[derive(Debug)]
 enum Stream {
@@ -51,10 +52,14 @@ enum Stream {
 
 impl std::io::Read for FileStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match &mut self.0 {
-            Stream::Direct(r) => r.read(buf),
-            Stream::Prefetched(r) => r.read(buf),
+        let n = match &mut self.0 {
+            Stream::Direct(r) => r.read(buf)?,
+            Stream::Prefetched(r) => r.read(buf)?,
+        };
+        if n > 0 {
+            self.1.add_batch();
         }
+        Ok(n)
     }
 }
 
@@ -110,12 +115,15 @@ impl FileSource {
         let path = path.as_ref().to_path_buf();
         let stats = IoStats::new();
         let file = std::fs::File::open(&path)?;
-        let stream = FileStream(match prefetch {
-            None => Stream::Direct(TimedRead::new(file, stats.clone())),
-            Some(config) => {
-                Stream::Prefetched(PrefetchReader::with_config(file, config, stats.clone()))
-            }
-        });
+        let stream = FileStream(
+            match prefetch {
+                None => Stream::Direct(TimedRead::new(file, stats.clone())),
+                Some(config) => {
+                    Stream::Prefetched(PrefetchReader::with_config(file, config, stats.clone()))
+                }
+            },
+            stats.clone(),
+        );
         let reader = CaptureReader::open(BufReader::with_capacity(FILE_BUF_BYTES, stream))?;
         Ok(FileSource {
             reader,
@@ -238,6 +246,8 @@ mod tests {
             let packets: Vec<_> = src.into_packets().map(|p| p.unwrap()).collect();
             assert_eq!(packets.len(), t.len());
             assert_eq!(stats.bytes_read(), bytes.len() as u64);
+            // One buffer fill covers these small files.
+            assert_eq!(stats.batches(), 1, "{name}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -254,18 +264,19 @@ mod tests {
             .into_packets()
             .map(|p| p.unwrap())
             .collect();
-        let prefetched: Vec<_> = FileSource::open_prefetched(
+        let source = FileSource::open_prefetched(
             &path,
             PrefetchConfig {
                 chunk_bytes: 4096,
                 chunks: 3,
             },
         )
-        .unwrap()
-        .into_packets()
-        .map(|p| p.unwrap())
-        .collect();
+        .unwrap();
+        let stats = source.stats();
+        let prefetched: Vec<_> = source.into_packets().map(|p| p.unwrap()).collect();
         assert_eq!(direct, prefetched);
+        // Each 4 KiB chunk reaches the capture reader as one fill.
+        assert_eq!(stats.batches(), stats.bytes_read().div_ceil(4096));
         std::fs::remove_dir_all(&dir).ok();
     }
 

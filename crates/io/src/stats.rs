@@ -101,7 +101,8 @@ impl IoStats {
         }
     }
 
-    /// Records one decoded batch handed over by a reader thread.
+    /// Records one input hand-off: a decoded batch from a multi-file
+    /// reader thread, or one buffer fill of a single-file read.
     pub fn add_batch(&self) {
         self.inner.batches.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = self.inner.mirror.get() {
@@ -118,7 +119,7 @@ impl IoStats {
         }
     }
 
-    /// Decoded batches reader threads handed over so far.
+    /// Input hand-offs so far (see [`IoStats::add_batch`]).
     pub fn batches(&self) -> u64 {
         self.inner.batches.load(Ordering::Relaxed)
     }

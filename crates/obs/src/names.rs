@@ -11,16 +11,14 @@ pub const ENGINE_PACKETS: &str = "engine.packets";
 pub const ENGINE_BATCHES: &str = "engine.batches";
 /// Flows force-closed by idle eviction, across shards (counter).
 pub const ENGINE_EVICTED_FLOWS: &str = "engine.evicted_flows";
-/// Nanoseconds routing workers spent blocked waiting for their
-/// delivery ticket (histogram; parallel routing only).
-pub const ROUTER_TICKET_WAIT_NS: &str = "engine.router.ticket_wait_ns";
 /// Nanoseconds of the serial container-serialization tail (counter).
 pub const CONTAINER_SERIALIZE_NS: &str = "container.serialize_ns";
 /// Archive sections written (counter).
 pub const CONTAINER_SECTIONS: &str = "container.sections";
 /// Raw bytes reader threads pulled off disk (counter).
 pub const IO_READER_BYTES: &str = "io.reader.bytes";
-/// Decoded batches reader threads handed over (counter).
+/// Input hand-offs (counter): decoded batches from multi-file reader
+/// threads, buffer fills on the single-file path.
 pub const IO_READER_BATCHES: &str = "io.reader.batches";
 /// Nanoseconds the consuming pipeline spent blocked on input (counter).
 pub const IO_READ_WAIT_NS: &str = "io.read_wait_ns";

@@ -34,8 +34,8 @@ pub(crate) enum InputKind<'a> {
     Patterns(Vec<String>),
     /// A borrowed in-memory trace.
     Trace(&'a Trace),
-    /// An infallible packet iterator. `Send` because the engine's
-    /// parallel routing workers pull from the stream on pool threads.
+    /// An infallible packet iterator (`Send`, like every input the
+    /// engine's entry points take).
     Packets(Box<dyn Iterator<Item = PacketRecord> + Send + 'a>),
     /// An already-opened [`InputSource`], type-erased: its stats handle
     /// plus its packet stream.
@@ -92,7 +92,7 @@ impl<'a> Input<'a> {
         }
     }
 
-    /// A borrowed in-memory trace (the batch compressor's native input).
+    /// A borrowed in-memory trace.
     pub fn trace(trace: &'a Trace) -> Input<'a> {
         Input {
             kind: InputKind::Trace(trace),

@@ -4,18 +4,18 @@
 //! The workspace grew its capability crates bottom-up — the batch
 //! [`Compressor`](flowzip_core::Compressor), the sharded
 //! [`StreamingEngine`](flowzip_engine::StreamingEngine), the overlapped
-//! ingest sources in [`flowzip_io`] — and with them a thicket of
-//! overlapping entry points. This crate is the one front door: a
+//! ingest sources in [`flowzip_io`]. This crate is the one front door: a
 //! builder-style *session* that names the input once, the output once,
-//! the tuning once, and routes internally to exactly the code path the
-//! legacy entry points exposed (the equivalence property tests in
-//! `tests/equivalence.rs` pin the output **byte-identical** to each one).
+//! the tuning once, and compresses every input on the streaming engine
+//! (the equivalence tests in `tests/equivalence.rs` pin the output
+//! **byte-identical** to the batch `Compressor` and to the engine's own
+//! entry points).
 //!
 //! ```text
 //! Input ── file / files / glob / trace / packets / source ─┐
 //!                                                          ▼
-//!                                    Pipeline::compress()  ─ batch Compressor
-//!                                          tuning          ─ or StreamingEngine
+//!                                    Pipeline::compress()  ─ StreamingEngine
+//!                                          tuning          ─ (1 shard unless asked)
 //!                                                          ▼
 //! Sink ─── file / bytes / writer ◀─────────────────────────┘   + unified Report
 //! ```
@@ -47,24 +47,21 @@
 //! assert_eq!(restored.report.packets as usize, trace.len());
 //! ```
 //!
-//! # Routing
+//! # Shards
 //!
-//! Unset, the session picks its engine the way the CLI used to:
-//! engine/reader tuning (`threads`, `batch_size`, `idle_timeout`,
-//! `readers`, `prefetch_mb`, `channel_capacity`), more than one input
-//! file, or a stream-shaped input ([`Input::packets`], [`Input::source`])
-//! select the sharded streaming engine; a single file or an in-memory
-//! trace with no tuning runs the batch compressor.
-//! [`CompressBuilder::streaming`] forces either route — and conflicting
-//! combinations (multi-file batch, engine knobs with `streaming(false)`,
-//! any zero-valued knob, an empty file list, a glob matching nothing) are
-//! rejected up front with a descriptive [`PipelineError::Config`] instead
-//! of panicking, hanging, or silently compressing nothing.
+//! Every session runs on the engine. `threads` unset means one shard,
+//! whatever the input kind — a single file, a file set, a trace or a
+//! packet stream — so archive bytes never depend on the host.
+//! [`CompressBuilder::threads`] shards flows across N worker threads.
+//! Nonsense (any zero-valued knob, an empty file list, a glob matching
+//! nothing, file-ingest knobs on an in-memory input) is rejected up front
+//! with a descriptive [`PipelineError::Config`] instead of panicking,
+//! hanging, or silently compressing nothing.
 //!
 //! # The unified report
 //!
-//! Every session returns one [`Report`] merging the batch
-//! [`CompressionReport`](flowzip_core::CompressionReport), the streaming
+//! Every session returns one [`Report`] merging the
+//! [`CompressionReport`](flowzip_core::CompressionReport), the
 //! [`EngineReport`](flowzip_engine::EngineReport) figures and the
 //! [`IoStats`](flowzip_io::IoStats) read-wait/compute split behind one
 //! stable [`Report::to_json`] schema — the same schema `flowzip compress
@@ -81,7 +78,7 @@ pub mod sink;
 pub use compress::{CompressBuilder, RunResult};
 pub use decompress::DecompressBuilder;
 pub use error::PipelineError;
-pub use flowzip_engine::{CancelFlag, Routing};
+pub use flowzip_engine::CancelFlag;
 pub use query::{parse_flow_spec, QueryBuilder};
 // Observability knobs a session takes (`.metrics()`, `.profiler()`,
 // `.stats_interval()`, …), re-exported so embedders need no direct

@@ -327,9 +327,9 @@ impl Report {
 
     /// Folds an [`EngineReport`] into the unified [`Report`], charging
     /// the drained source's [`IoStats`] (when the input had one) to the
-    /// read-wait/compute split — the same [`Timing`] clamp the batch and
-    /// decompress routes use, so the report pipelines cannot drift. This
-    /// is how compress sessions summarize streaming runs, and how
+    /// read-wait/compute split — the same [`Timing`] clamp the
+    /// decompress route uses, so the report pipelines cannot drift. This
+    /// is how compress sessions summarize their engine runs, and how
     /// embedders that drive the engine directly (e.g. `flowzip serve`'s
     /// per-window reports) produce the same stable schema.
     pub fn from_engine(er: EngineReport, format: ArchiveFormat, stats: Option<&IoStats>) -> Report {

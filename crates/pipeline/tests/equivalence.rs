@@ -1,27 +1,24 @@
-//! The tentpole acceptance pins: for every input/sink combination the
-//! `Pipeline` session API produces archive bytes **identical** to the
-//! legacy entry point it subsumes —
+//! The session API's acceptance pins: for every input/sink combination
+//! the `Pipeline` session produces archive bytes **identical** to the
+//! primitive it runs on —
 //!
-//! | session | legacy entry point |
+//! | session | reference |
 //! |---|---|
-//! | `Input::trace`, no tuning | `Compressor::compress` (batch) |
-//! | `Input::trace` + `threads` | `StreamingEngine::compress_trace_to_bytes` |
-//! | `Input::packets` | `StreamingEngine::compress_packets` |
-//! | `Input::file` | `StreamingEngine::compress_source_to_bytes(FileSource)` |
-//! | `Input::file` + `prefetch_mb` | … with `FileSource::open_prefetched` |
-//! | `Input::files`/`Input::glob` + `readers` | … with `MultiFileSource` |
+//! | any input, no tuning | `Compressor::compress` (one shard) |
+//! | `Input::trace` + `threads` | `StreamingEngine::compress_stream_to_bytes` |
+//! | `Input::packets` | … over the packet iterator |
+//! | `Input::file` | … over `FileSource::open` |
+//! | `Input::file` + `prefetch_mb` | … over `FileSource::open_prefetched` |
+//! | `Input::files`/`Input::glob` + `readers` | … over `MultiFileSource` |
 //! | `Pipeline::decompress` | `Decompressor::decompress` + `tsh/pcap::to_bytes` |
 //!
 //! each × container v1 and v2. The sink never changes the bytes:
 //! `Sink::file`, `Sink::bytes` and `Sink::writer` deliver one identical
 //! serialization.
 
-// The right-hand side of every pin *is* the deprecated legacy API.
-#![allow(deprecated)]
-
 use flowzip_core::{ArchiveFormat, Compressor, DecompressParams, Decompressor, Params};
 use flowzip_engine::StreamingEngine;
-use flowzip_io::{FileSource, MultiFileConfig, MultiFileSource, PrefetchConfig};
+use flowzip_io::{FileSource, InputSource, MultiFileConfig, MultiFileSource, PrefetchConfig};
 use flowzip_pipeline::{Input, Pipeline, Sink};
 use flowzip_trace::reader::CaptureFormat;
 use flowzip_trace::{pcap, tsh, Trace};
@@ -77,10 +74,43 @@ fn batch_session_matches_compressor() {
             .format(format)
             .run()
             .unwrap();
-        // No tuning + in-memory trace → the batch route.
-        assert!(result.report.engine.is_none(), "batch run has no engine");
+        // No tuning → the engine with one shard, which reproduces the
+        // batch compressor byte for byte.
+        assert_eq!(result.report.engine.as_ref().unwrap().shards, 1);
         assert_eq!(result.into_bytes().unwrap(), want, "{format}");
     }
+}
+
+/// `threads` unset means one shard on every input kind, so an untuned
+/// session's bytes never depend on the input's shape or the host.
+#[test]
+fn untuned_sessions_run_one_shard_on_every_input_kind() {
+    let dir = tmpdir("untuned");
+    let trace = web_trace(110, 50);
+    let image = tsh::to_bytes(&trace);
+    let whole = dir.join("whole.tsh");
+    std::fs::write(&whole, &image).unwrap();
+    let chunks = write_chunks(&dir, &image, 3);
+    let want = Compressor::new(Params::paper())
+        .compress(&trace)
+        .0
+        .to_bytes_v2();
+    let inputs = [
+        ("trace", Input::trace(&trace)),
+        ("packets", Input::packets(trace.iter().cloned())),
+        ("file", Input::file(&whole)),
+        ("files", Input::files(&chunks)),
+    ];
+    for (kind, input) in inputs {
+        let result = Pipeline::compress()
+            .input(input)
+            .sink(Sink::bytes())
+            .run()
+            .unwrap();
+        assert_eq!(result.report.engine.as_ref().unwrap().shards, 1, "{kind}");
+        assert_eq!(result.into_bytes().unwrap(), want, "{kind}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -93,7 +123,9 @@ fn streaming_session_matches_engine_trace_entry_point() {
                 .batch_size(128)
                 .format(format)
                 .build();
-            let (want, _) = engine.compress_trace_to_bytes(&trace).unwrap();
+            let (want, _) = engine
+                .compress_stream_to_bytes(trace.iter().cloned().map(Ok))
+                .unwrap();
             let result = Pipeline::compress()
                 .input(Input::trace(&trace))
                 .sink(Sink::bytes())
@@ -102,7 +134,7 @@ fn streaming_session_matches_engine_trace_entry_point() {
                 .batch_size(128)
                 .run()
                 .unwrap();
-            assert!(result.report.engine.is_some(), "threads → streaming");
+            assert_eq!(result.report.engine.as_ref().unwrap().shards, shards);
             assert_eq!(
                 result.into_bytes().unwrap(),
                 want,
@@ -122,8 +154,7 @@ fn packets_session_matches_engine_packets_entry_point() {
             .batch_size(64)
             .format(format)
             .build();
-        let (_, report) = engine.compress_packets(packets.clone()).unwrap();
-        let (want, _) = engine
+        let (want, report) = engine
             .compress_stream_to_bytes(packets.iter().cloned().map(Ok))
             .unwrap();
         let result = Pipeline::compress()
@@ -155,7 +186,7 @@ fn file_session_matches_engine_file_source_entry_point() {
             .format(format)
             .build();
         let (want, _) = engine
-            .compress_source_to_bytes(FileSource::open(&path).unwrap())
+            .compress_stream_to_bytes(FileSource::open(&path).unwrap().into_packets())
             .unwrap();
         let result = Pipeline::compress()
             .input(Input::file(&path))
@@ -181,10 +212,9 @@ fn prefetched_session_matches_engine_prefetch_entry_point() {
             .batch_size(1024)
             .format(format)
             .build();
+        let source = FileSource::open_prefetched(&path, PrefetchConfig::with_chunk_mb(1)).unwrap();
         let (want, _) = engine
-            .compress_source_to_bytes(
-                FileSource::open_prefetched(&path, PrefetchConfig::with_chunk_mb(1)).unwrap(),
-            )
+            .compress_stream_to_bytes(source.into_packets())
             .unwrap();
         let result = Pipeline::compress()
             .input(Input::file(&path))
@@ -221,7 +251,9 @@ fn multi_file_session_matches_engine_multi_file_entry_point() {
                 },
             )
             .unwrap();
-            let (want, _) = engine.compress_source_to_bytes(source).unwrap();
+            let (want, _) = engine
+                .compress_stream_to_bytes(source.into_packets())
+                .unwrap();
             let result = Pipeline::compress()
                 .input(Input::files(&chunks))
                 .sink(Sink::bytes())
@@ -342,9 +374,9 @@ fn decompress_session_matches_decompressor() {
 }
 
 proptest! {
-    /// Random traces, shard counts and formats: the session API and the
-    /// legacy entry points serialize byte-identically, batch and
-    /// streaming.
+    /// Random traces, shard counts and formats: the session API, the
+    /// batch compressor (untuned) and the engine entry point (tuned)
+    /// serialize byte-identically.
     #[test]
     fn session_matches_legacy_for_random_configs(
         flows in 10usize..60,
@@ -375,7 +407,9 @@ proptest! {
             .batch_size(128)
             .format(format)
             .build();
-        let (want_stream, _) = engine.compress_trace_to_bytes(&trace).unwrap();
+        let (want_stream, _) = engine
+            .compress_stream_to_bytes(trace.iter().cloned().map(Ok))
+            .unwrap();
         let got_stream = Pipeline::compress()
             .input(Input::trace(&trace))
             .sink(Sink::bytes())

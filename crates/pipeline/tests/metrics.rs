@@ -1,8 +1,9 @@
 //! Pipeline-level observability pins: live JSON-lines snapshots obey
 //! the stats schema, the final report embeds the registry dump, the
-//! stats knobs validate, and the batch route still feeds reader
+//! stats knobs validate, and the single-file route feeds honest reader
 //! metrics.
 
+use flowzip_io::{FileSource, InputSource, PrefetchConfig};
 use flowzip_obs::json::is_valid_json;
 use flowzip_obs::names;
 use flowzip_pipeline::{Input, Metrics, Pipeline, Sink, SnapshotFormat, StatsSink};
@@ -159,25 +160,39 @@ fn uninstrumented_runs_embed_no_metrics_and_no_stage_split() {
 }
 
 #[test]
-fn batch_route_feeds_reader_metrics_too() {
-    let trace = web_trace(80, 15);
+fn single_file_route_feeds_reader_metrics() {
+    // Big enough for several fills of the capture reader's buffer.
+    let trace = web_trace(600, 15);
     let dir = std::env::temp_dir().join(format!("flowzip-met-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path: PathBuf = dir.join("whole.tsh");
     std::fs::write(&path, tsh::to_bytes(&trace)).unwrap();
-    let metrics = Metrics::enabled();
-    let result = Pipeline::compress()
-        .input(Input::file(&path))
-        .sink(Sink::bytes())
-        .metrics(metrics.clone())
-        .run()
-        .unwrap();
-    let snap = result.report.metrics.as_ref().unwrap();
-    assert_eq!(
-        snap.counter(names::IO_READER_BYTES),
-        Some(std::fs::metadata(&path).unwrap().len()),
-        "reader byte counter covers the whole file"
-    );
+    let file_bytes = std::fs::metadata(&path).unwrap().len();
+    for prefetch_mb in [None, Some(1)] {
+        let metrics = Metrics::enabled();
+        let mut session = Pipeline::compress()
+            .input(Input::file(&path))
+            .sink(Sink::bytes())
+            .metrics(metrics.clone());
+        if let Some(mb) = prefetch_mb {
+            session = session.prefetch_mb(mb);
+        }
+        let result = session.run().unwrap();
+        let snap = result.report.metrics.as_ref().unwrap();
+        assert_eq!(
+            snap.counter(names::IO_READER_BYTES),
+            Some(file_bytes),
+            "reader byte counter covers the whole file"
+        );
+        // The same file drained by hand: one batch per buffer fill.
+        let source =
+            FileSource::open_with(&path, prefetch_mb.map(PrefetchConfig::with_chunk_mb)).unwrap();
+        let stats = source.stats();
+        assert_eq!(source.into_packets().count(), trace.len());
+        let batches = snap.counter(names::IO_READER_BATCHES).unwrap_or(0);
+        assert!(batches > 1, "prefetch {prefetch_mb:?}: {batches} batches");
+        assert_eq!(batches, stats.batches(), "prefetch {prefetch_mb:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

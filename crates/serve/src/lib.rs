@@ -69,7 +69,7 @@ pub(crate) type WindowCallback = Box<dyn FnMut(&WindowSummary) + Send>;
 use flowzip_core::Params;
 use flowzip_engine::StreamingEngine;
 use flowzip_obs::{names, Metrics, Sampler, SnapshotFormat, StatsSink};
-use flowzip_pipeline::{Pipeline, Report, Routing};
+use flowzip_pipeline::{Pipeline, Report};
 use flowzip_trace::Duration as TraceDuration;
 use session::{Driver, Shared};
 use std::path::{Path, PathBuf};
@@ -341,7 +341,6 @@ pub struct ServeBuilder {
     batch_size: Option<usize>,
     channel_capacity: Option<usize>,
     idle_timeout: Option<TraceDuration>,
-    routing: Option<Routing>,
     telemetry: bool,
     queue_batches: usize,
     overload: OverloadPolicy,
@@ -397,7 +396,6 @@ impl ServeBuilder {
             batch_size: None,
             channel_capacity: None,
             idle_timeout: None,
-            routing: None,
             telemetry: false,
             queue_batches: 64,
             overload: OverloadPolicy::default(),
@@ -444,7 +442,7 @@ impl ServeBuilder {
         self
     }
 
-    /// Worker shards per window run (engine default otherwise).
+    /// Worker shards per window run (default 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -466,12 +464,6 @@ impl ServeBuilder {
     /// that keeps per-window memory flat when flows never close.
     pub fn idle_timeout(mut self, timeout: TraceDuration) -> Self {
         self.idle_timeout = Some(timeout);
-        self
-    }
-
-    /// Engine routing topology (default [`Routing::Parallel`]).
-    pub fn routing(mut self, routing: Routing) -> Self {
-        self.routing = Some(routing);
         self
     }
 
@@ -592,9 +584,6 @@ impl ServeBuilder {
         }
         if let Some(c) = self.channel_capacity {
             builder = builder.channel_capacity(c);
-        }
-        if let Some(r) = self.routing {
-            builder = builder.routing(r);
         }
         let engine = builder
             .try_build()

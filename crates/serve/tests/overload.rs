@@ -4,7 +4,6 @@
 //! hold, the drop counter owns the difference, and the accounting
 //! identity `produced == compressed + dropped` closes exactly.
 
-use flowzip_engine::Routing;
 use flowzip_pipeline::Pipeline;
 use flowzip_serve::{OverloadPolicy, PipelineServe, ServeSource};
 use flowzip_trace::prelude::*;
@@ -39,7 +38,6 @@ fn sustained_overload_drops_and_counts_instead_of_buffering() {
         .source(ServeSource::packets(firehose(PRODUCED)))
         .out_dir(&dir)
         .rotate_packets(512)
-        .routing(Routing::Serial)
         .threads(1)
         .batch_size(128)
         .queue_batches(1)
@@ -79,7 +77,6 @@ fn overload_session_survives_and_stays_queryable() {
         .source(ServeSource::packets(firehose(20_000)))
         .out_dir(&dir)
         .rotate_packets(1_000)
-        .routing(Routing::Serial)
         .threads(1)
         .batch_size(128)
         .queue_batches(1)

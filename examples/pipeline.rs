@@ -41,15 +41,16 @@ fn main() {
         })
         .collect();
 
-    // 1. Input::trace — in-memory, no tuning → the batch compressor.
+    // 1. Input::trace — in-memory, no tuning → one inline shard, the
+    //    batch compressor's bytes.
     let batch = Pipeline::compress()
         .input(Input::trace(&trace))
         .sink(Sink::bytes())
         .run()
         .unwrap();
-    println!("trace (batch)   : {}", batch.report);
+    println!("trace (1 shard) : {}", batch.report);
 
-    // 2. Input::trace + threads → the sharded streaming engine.
+    // 2. Input::trace + threads → two shards on their own threads.
     let streamed = Pipeline::compress()
         .input(Input::trace(&trace))
         .sink(Sink::bytes())

@@ -4,7 +4,7 @@
 //! flowzip generate   --flows 2000 --secs 60 --seed 42 -o web.tsh
 //! flowzip stats      web.tsh
 //! flowzip compress   web.tsh -o web.fzc
-//! flowzip compress   web.pcap -o web.fzc --streaming --threads 4 --idle-timeout 60
+//! flowzip compress   web.pcap -o web.fzc --threads 4 --idle-timeout 60
 //! flowzip compress   chunk-00.tsh chunk-01.tsh chunk-02.tsh -o web.fzc --readers 3
 //! flowzip compress   'trace-*.tsh' -o web.fzc --readers 4 --prefetch-mb 4
 //! flowzip compress   web.tsh -o web.fzc --format v1
@@ -29,24 +29,19 @@
 //! `--format v1` keeps the original single-blob layout, and reading
 //! (`info` / `decompress` / `synth`) transparently accepts both.
 //!
-//! Routing (which the pipeline owns, not this file): any engine or
-//! reader flag — `--streaming`, `--threads`, `--idle-timeout`,
-//! `--batch-size`, `--readers`, `--prefetch-mb`, `--routing` — selects
-//! the sharded streaming engine, as do multiple input files (an explicit
-//! list or a quoted `*`/`?` glob streams as *one* logical trace in
-//! argument order through parallel reader threads, byte-identical to a
-//! single chained reader). A bare single-file `compress` runs the batch
-//! compressor. `--idle-timeout 0` and `--prefetch-mb 0` mean "off", but
-//! the flag's presence still selects the streaming route — both halves
-//! of the historical semantics. `--routing serial|parallel` picks the
-//! engine's routing topology (parallel hashes packets on the reader-side
-//! worker pool; serial keeps the single dedicated router thread; output
-//! is byte-identical either way).
+//! Every `compress` runs on the streaming engine (the pipeline owns
+//! that, not this file). `--threads N` shards flows across N worker
+//! threads; the default is 1, so archive bytes never depend on the host.
+//! Multiple input files (an explicit list or a quoted `*`/`?` glob)
+//! stream as *one* logical trace in argument order through parallel
+//! reader threads, byte-identical to a single chained reader.
+//! `--idle-timeout 0` and `--prefetch-mb 0` mean "off". An unknown
+//! `--flag` is an error, never silently ignored.
 
 use flowzip::core::{synthesize, CompressedTrace};
 use flowzip::obs::log::{self, Level};
 use flowzip::obs::{Metrics, Profiler, SnapshotFormat};
-use flowzip::pipeline::{Input, Pipeline, Report, Routing, Sink};
+use flowzip::pipeline::{Input, Pipeline, Report, Sink};
 use flowzip::prelude::*;
 use flowzip::serve::{signal, OverloadPolicy, PipelineServe, ServeSource};
 use flowzip::trace::reader::CaptureFormat;
@@ -73,13 +68,12 @@ const USAGE: &str = "usage:
   flowzip compress   IN...  -o OUT.fzc   (TSH or pcap, auto-detected; several
                      files or a quoted glob stream as one trace in order)
                      [--format v1|v2] (default v2: per-shard archive sections)
-                     [--streaming] [--threads N] [--idle-timeout SECS] [--batch-size N]
-                     [--readers N] [--prefetch-mb N] [--routing serial|parallel] [--json]
-                     (any engine/reader flag implies --streaming;
-                      multiple inputs always stream)
+                     [--threads N] (worker shards; default 1)
+                     [--idle-timeout SECS] [--batch-size N]
+                     [--readers N] [--prefetch-mb N] [--json]
                      [--telemetry] (derive per-flow TCP dynamics — RTT, retransmissions,
-                      idle/active time — into a rev 2.2 FZT1 side-section; v2 only,
-                      implies --streaming; older readers ignore it byte-identically)
+                      idle/active time — into a rev 2.2 FZT1 side-section; v2 only;
+                      older readers ignore it byte-identically)
                      [--metrics] (embed the per-stage metrics dump in the report)
                      [--stats-interval SECS] [--stats-format json|human]
                      (live stats snapshots to stderr while compressing)
@@ -93,7 +87,7 @@ const USAGE: &str = "usage:
                      [--queue-batches N] [--overload drop|block] (bounded ingest
                       queue; drop sheds load and counts serve.dropped_packets)
                      [--threads N] [--batch-size N] [--idle-timeout SECS]
-                     [--routing serial|parallel] [--telemetry] [--json]
+                     [--telemetry] [--json]
                      [--stats-interval SECS] [--stats-format json|human]
                      (SIGINT/SIGTERM: finish the window, flush a final valid
                       archive, exit 128+signo; a second signal exits at once)
@@ -112,13 +106,34 @@ global: [-q|--quiet] [-v|--verbose] and the FLOWZIP_LOG env var
         (quiet|normal|verbose) set how much lands on stderr";
 
 /// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &[
-    "streaming",
-    "json",
-    "metrics",
-    "telemetry",
-    "quiet",
-    "verbose",
+const BOOL_FLAGS: &[&str] = &["json", "metrics", "telemetry", "quiet", "verbose"];
+
+/// Flags that take one value (`--out` is the long form of `-o`).
+const VALUE_FLAGS: &[&str] = &[
+    "batch-size",
+    "flow",
+    "flows",
+    "format",
+    "from",
+    "idle-timeout",
+    "listen",
+    "out",
+    "out-format",
+    "overload",
+    "prefetch-mb",
+    "profile",
+    "queue-batches",
+    "readers",
+    "rotate-packets",
+    "rotate-secs",
+    "secs",
+    "seed",
+    "stats-format",
+    "stats-interval",
+    "threads",
+    "to",
+    "unix",
+    "watch",
 ];
 
 struct Opts {
@@ -137,6 +152,9 @@ impl Opts {
                     flags.push((key.to_string(), "true".to_string()));
                     i += 1;
                     continue;
+                }
+                if !VALUE_FLAGS.contains(&key) {
+                    return Err(format!("unknown flag --{key}"));
                 }
                 let value = args
                     .get(i + 1)
@@ -305,17 +323,13 @@ fn compress(opts: &Opts) -> Result<(), String> {
     let out = opts.out()?;
     let json = opts.get_bool("json");
 
-    // The whole flag surface maps 1:1 onto pipeline knobs; routing
-    // (batch vs. streaming, single vs. multi-file, prefetch) lives in
-    // the pipeline, not here.
+    // The whole flag surface maps 1:1 onto pipeline knobs; input
+    // handling (single vs. multi-file, prefetch) lives in the pipeline.
     let mut session = Pipeline::compress()
         .input(Input::globs(&opts.positional))
         .sink(Sink::file(&out));
     if let Some(name) = opts.get("format") {
         session = session.format(ArchiveFormat::parse(name)?);
-    }
-    if opts.get_bool("streaming") {
-        session = session.streaming(true);
     }
     if opts.get("threads").is_some() {
         session = session.threads(opts.get_u64("threads", 0)? as usize);
@@ -326,27 +340,17 @@ fn compress(opts: &Opts) -> Result<(), String> {
     if opts.get("readers").is_some() {
         session = session.readers(opts.get_u64("readers", 0)? as usize);
     }
-    if let Some(name) = opts.get("routing") {
-        session = session.routing(Routing::parse(name)?);
-    }
     if opts.get_bool("telemetry") {
         session = session.telemetry(true);
     }
-    // 0 historically means "off" for these two — but the flag's
-    // *presence* still selects the streaming route, as it always did: a
-    // 50 GB capture compressed with `--idle-timeout 0` must not silently
-    // fall back to loading the whole file in memory.
+    // 0 means "off" for these two.
     let idle_secs = opts.get_u64("idle-timeout", 0)?;
     if idle_secs > 0 {
         session = session.idle_timeout(Duration::from_secs(idle_secs));
-    } else if opts.get("idle-timeout").is_some() {
-        session = session.streaming(true);
     }
     let prefetch_mb = opts.get_u64("prefetch-mb", 0)?;
     if prefetch_mb > 0 {
         session = session.prefetch_mb(prefetch_mb);
-    } else if opts.get("prefetch-mb").is_some() {
-        session = session.streaming(true);
     }
 
     // Observability: --metrics embeds the final registry dump in the
@@ -473,9 +477,6 @@ fn serve(opts: &Opts) -> Result<(), String> {
     }
     if let Some(name) = opts.get("overload") {
         session = session.overload(OverloadPolicy::parse(name)?);
-    }
-    if let Some(name) = opts.get("routing") {
-        session = session.routing(Routing::parse(name)?);
     }
     if opts.get_bool("telemetry") {
         session = session.telemetry(true);

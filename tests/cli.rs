@@ -180,7 +180,7 @@ fn format_flag_selects_container_and_output_is_identical() {
         let out = bin()
             .arg("compress")
             .arg(&tsh)
-            .args(["--format", format, "--streaming", "--threads", "3", "-o"])
+            .args(["--format", format, "--threads", "3", "-o"])
             .arg(&fzc)
             .output()
             .unwrap();
@@ -270,12 +270,12 @@ fn multi_file_compress_matches_single_file_archive() {
         std::fs::write(path, slice).unwrap();
     }
 
-    // Reference: the unsplit file through the plain streaming path.
+    // Reference: the unsplit file through the plain single-file path.
     let ref_fzc = dir.join("ref.fzc");
     let out = bin()
         .arg("compress")
         .arg(&whole)
-        .args(["--streaming", "--threads", "2", "-o"])
+        .args(["--threads", "2", "-o"])
         .arg(&ref_fzc)
         .output()
         .unwrap();
@@ -302,7 +302,7 @@ fn multi_file_compress_matches_single_file_archive() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
         text.contains("read-wait"),
-        "streaming output reports the read-wait/compute split: {text}"
+        "multi-file output reports the read-wait/compute split: {text}"
     );
 
     // Quoted glob (the CLI expands it, sorted).
@@ -392,7 +392,7 @@ fn json_output_modes() {
     let out = bin()
         .arg("compress")
         .arg(&tsh)
-        .args(["--streaming", "--threads", "2", "--json", "-o"])
+        .args(["--threads", "2", "--json", "-o"])
         .arg(&fzc)
         .output()
         .unwrap();
@@ -455,8 +455,7 @@ fn json_output_modes() {
     );
     assert!(std::fs::metadata(&restored).unwrap().len() > 0);
 
-    // --json on a bare single-file compress (the batch route) speaks the
-    // schema too — no streaming flag needed.
+    // --json on a bare single-file compress speaks the schema too.
     let batch_fzc = dir.join("batch.fzc");
     let out = bin()
         .arg("compress")
@@ -477,15 +476,93 @@ fn json_output_modes() {
         "\"read_wait_secs\": ",
         "\"clusters\": ",
     ] {
-        assert!(text.contains(needle), "batch compress --json: {text}");
+        assert!(text.contains(needle), "untuned compress --json: {text}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--idle-timeout 0` / `--prefetch-mb 0` disable the feature but still
-/// select the streaming route (their historical semantics) — a huge
-/// capture compressed with an explicit 0 must not silently fall back to
-/// whole-file batch loading.
+/// Every compress runs on the engine with one shard unless asked: a
+/// bare `compress` and `--threads 1` write the same bytes, and both
+/// `--json` reports carry the engine section.
+#[test]
+fn untuned_compress_is_a_one_shard_engine_run() {
+    let dir = tmpdir("oneshard");
+    let tsh = dir.join("web.tsh");
+    let out = bin()
+        .args([
+            "generate", "--flows", "120", "--secs", "10", "--seed", "5", "-o",
+        ])
+        .arg(&tsh)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    let mut archives = Vec::new();
+    for (tag, extra) in [("bare", &[][..]), ("threads1", &["--threads", "1"][..])] {
+        let fzc = dir.join(format!("{tag}.fzc"));
+        let out = bin()
+            .arg("compress")
+            .arg(&tsh)
+            .args(extra)
+            .args(["--json", "-o"])
+            .arg(&fzc)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{tag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        for needle in ["\"shards\": 1", "\"evicted_flows\": 0", "\"sections\": 1"] {
+            assert!(text.contains(needle), "{tag} --json lacks {needle}: {text}");
+        }
+        archives.push(std::fs::read(&fzc).unwrap());
+    }
+    assert_eq!(archives[0], archives[1], "bare compress ≠ --threads 1");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An unknown flag is an error, not silently ignored — nor allowed to
+/// swallow the next argument as its value. `--routing` and
+/// `--streaming` are such flags.
+#[test]
+fn removed_routing_flags_are_unknown() {
+    let dir = tmpdir("unknownflags");
+    let tsh = dir.join("web.tsh");
+    let out = bin()
+        .args([
+            "generate", "--flows", "20", "--secs", "5", "--seed", "5", "-o",
+        ])
+        .arg(&tsh)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let fzc = dir.join("out.fzc");
+    for flag in [&["--routing", "serial"][..], &["--streaming"][..]] {
+        for cmd in ["compress", "serve"] {
+            let out = bin()
+                .arg(cmd)
+                .arg(&tsh)
+                .args(flag)
+                .arg("-o")
+                .arg(&fzc)
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(1), "{cmd} {flag:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.contains(&format!("unknown flag {}", flag[0])),
+                "{cmd} {flag:?}: {err}"
+            );
+        }
+    }
+    assert!(!fzc.exists(), "a rejected command writes nothing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--idle-timeout 0` / `--prefetch-mb 0` are accepted and mean "off";
+/// the run is the usual engine run.
 #[test]
 fn zero_valued_engine_flags_still_stream() {
     let dir = tmpdir("zeroflags");
@@ -517,7 +594,7 @@ fn zero_valued_engine_flags_still_stream() {
         let text = String::from_utf8_lossy(&out.stdout);
         assert!(
             text.contains("shards"),
-            "{flag:?} should select the streaming engine: {text}"
+            "{flag:?} should run on the engine: {text}"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -709,17 +786,17 @@ fn pcap_input_is_auto_detected() {
     std::fs::write(&tsh_path, flowzip::trace::tsh::to_bytes(&trace)).unwrap();
 
     for (input, tag) in [(&pcap_path, "pcap"), (&tsh_path, "tsh")] {
-        for streaming in [true, false] {
-            let fzc = dir.join(format!("{tag}-{streaming}.fzc"));
+        for sharded in [true, false] {
+            let fzc = dir.join(format!("{tag}-{sharded}.fzc"));
             let mut cmd = bin();
             cmd.arg("compress").arg(input);
-            if streaming {
-                cmd.args(["--streaming", "--threads", "2"]);
+            if sharded {
+                cmd.args(["--threads", "2"]);
             }
             let out = cmd.arg("-o").arg(&fzc).output().unwrap();
             assert!(
                 out.status.success(),
-                "{tag} streaming={streaming}: {}",
+                "{tag} sharded={sharded}: {}",
                 String::from_utf8_lossy(&out.stderr)
             );
         }
@@ -754,7 +831,7 @@ fn query_subcommand_prunes_and_matches_full_decode() {
     let out = bin()
         .arg("compress")
         .arg(&tsh)
-        .args(["--streaming", "--threads", "4", "-o"])
+        .args(["--threads", "4", "-o"])
         .arg(&fzc)
         .output()
         .unwrap();
