@@ -13,6 +13,20 @@
 //! first packet travels client→server and every dependent packet flips
 //! the direction (it answered the opposite node).
 //!
+//! # Streaming merge
+//!
+//! §4 "merges flows by timestamp while writing the output file", and
+//! [`Decompressor::packets`] does exactly that: a k-way merge over the
+//! active flows. Each flow record becomes a cursor (clock, direction,
+//! sequence numbers, template position) that yields the flow's packets
+//! in order; records are admitted in `first_ts` order and a min-heap
+//! keyed by `(packet timestamp, record index)` picks the next packet.
+//! Memory is O(archive + active flows), not O(packets), so a writer fed
+//! from the iterator never holds the whole trace. The key reproduces the
+//! stable time sort of the record-major expansion, so the output order
+//! is fully determined by the archive. [`Decompressor::decompress`] is
+//! the same iterator collected into a [`Trace`].
+//!
 //! # Position-independent endpoint synthesis
 //!
 //! The synthesized client address and port are a **pure function of the
@@ -27,11 +41,13 @@
 //! encode time to compute the flow keys a future query will look for.
 
 use crate::characterize::{size_class_representative, Dependence};
-use crate::datasets::{CompressedTrace, RTT_SHIFT};
+use crate::datasets::{CompressedTrace, FlowRecord, RTT_SHIFT};
 use crate::Params;
 use flowzip_trace::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Default RNG seed for synthesized client endpoints (`0x5EED`), shared
 /// by [`DecompressParams::default`], the CLI flags and the metadata
@@ -75,46 +91,47 @@ impl Decompressor {
         Decompressor { config }
     }
 
-    /// Expands an archive into a synthetic trace, time-sorted.
+    /// Expands an archive into a synthetic trace, time-sorted: the
+    /// [`packets`](Decompressor::packets) merge, collected.
     pub fn decompress(&self, ct: &CompressedTrace) -> Trace {
-        let mut packets = Vec::with_capacity(ct.packet_count() as usize);
-        for record in &ct.time_seq {
-            let server = ct.addresses[record.addr_idx as usize];
-            let c2s = synth_tuple(
-                self.config.seed,
-                record.first_ts,
-                server,
-                record.rtt,
-                record.is_long,
-            );
-            let rtt = if record.rtt.is_zero() {
-                self.config.default_rtt
-            } else {
-                record.rtt
-            };
+        self.packets(ct).collect()
+    }
 
-            if record.is_long {
-                let template = &ct.long_templates[record.template_idx as usize];
-                self.expand_flow(
-                    template.entries.iter().map(|&(m, ipt)| (m, Some(ipt))),
-                    record.first_ts,
-                    rtt,
-                    c2s,
-                    &mut packets,
-                );
-            } else {
-                let template = &ct.short_templates[record.template_idx as usize];
-                self.expand_flow(
-                    template.iter().map(|&m| (m, None)),
-                    record.first_ts,
-                    rtt,
-                    c2s,
-                    &mut packets,
-                );
-            }
+    /// The archive's synthesized packets in output order, produced by
+    /// the streaming k-way flow merge described in the
+    /// [module docs](self): memory is O(active flows), not O(packets).
+    ///
+    /// The order is the stable time sort of the record-major expansion —
+    /// packets by timestamp, ties by record position in `time_seq`, then
+    /// by position within the flow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a record indexes past the archive's template or address
+    /// tables; archives decoded from bytes are validated, so only a
+    /// hand-built [`CompressedTrace`] can trip this.
+    pub fn packets<'a>(&'a self, ct: &'a CompressedTrace) -> Packets<'a> {
+        let sorted = ct
+            .time_seq
+            .windows(2)
+            .all(|w| w[0].first_ts <= w[1].first_ts);
+        // An unsorted in-memory `time_seq` is ordered by flow, never by
+        // packet: a stable index sort keeps equal-start flows in stream
+        // order, which is what the merge's tie-break expects.
+        let order = (!sorted).then(|| {
+            let mut order: Vec<usize> = (0..ct.time_seq.len()).collect();
+            order.sort_by_key(|&i| ct.time_seq[i].first_ts);
+            order
+        });
+        Packets {
+            config: &self.config,
+            ct,
+            order,
+            admitted: 0,
+            heap: BinaryHeap::new(),
+            flows: Vec::new(),
+            free: Vec::new(),
         }
-        // §4 merges flows by timestamp while writing the output file.
-        Trace::from_packets(packets)
     }
 
     /// Parses serialized archive bytes — either container format, v1 or
@@ -130,70 +147,214 @@ impl Decompressor {
     pub fn decompress_bytes(&self, data: &[u8]) -> Result<Trace, crate::datasets::CodecError> {
         Ok(self.decompress(&CompressedTrace::from_bytes(data)?))
     }
-
-    fn expand_flow(
-        &self,
-        entries: impl Iterator<Item = (u16, Option<Duration>)>,
-        first_ts: Timestamp,
-        rtt: Duration,
-        c2s: FiveTuple,
-        out: &mut Vec<PacketRecord>,
-    ) {
-        let weights = self.config.params.weights;
-        let edge = self.config.params.size_edge;
-        let mut now = first_ts;
-        let mut dir_client_to_server = true;
-        let mut client_seq: u32 = 1_000;
-        let mut server_seq: u32 = 5_000;
-        for (i, (m, stored_ipt)) in entries.enumerate() {
-            let (class, dep, f3) = weights.decompose(m as u32).unwrap_or((
-                crate::characterize::FlagClass::Ack,
-                Dependence::NotDependent,
-                0,
-            ));
-            if i > 0 {
-                // Timing: stored gap for long flows; synthesized for short.
-                now += stored_ipt.unwrap_or(match dep {
-                    Dependence::Dependent => rtt,
-                    Dependence::NotDependent => self.config.backtoback_gap,
-                });
-                // Direction: dependent packets answer the opposite node.
-                if dep == Dependence::Dependent {
-                    dir_client_to_server = !dir_client_to_server;
-                }
-            }
-            let tuple = if dir_client_to_server {
-                c2s
-            } else {
-                c2s.reversed()
-            };
-            let len = size_class_representative(f3, edge);
-            let (seq, ack) = if dir_client_to_server {
-                let s = client_seq;
-                client_seq = client_seq.wrapping_add(len as u32);
-                (s, server_seq)
-            } else {
-                let s = server_seq;
-                server_seq = server_seq.wrapping_add(len as u32);
-                (s, client_seq)
-            };
-            out.push(
-                PacketRecord::builder()
-                    .timestamp(now)
-                    .tuple(tuple)
-                    .flags(class.to_flags())
-                    .payload_len(len)
-                    .seq(seq)
-                    .ack(ack)
-                    .build(),
-            );
-        }
-    }
 }
 
 impl Default for Decompressor {
     fn default() -> Self {
         Decompressor::new(DecompressParams::default())
+    }
+}
+
+/// Iterator over an archive's synthesized packets in output order; see
+/// [`Decompressor::packets`].
+///
+/// Flow records are admitted in `first_ts` order, each as a flow cursor
+/// parked in a slot. A min-heap keyed by
+/// `(next packet timestamp, record index)` holds one entry per active
+/// flow; every step emits the top flow's pending packet and re-keys it
+/// from the cursor's next one. A record is admitted once its `first_ts`
+/// is ≤ the heap top's timestamp, so no unadmitted flow can own an
+/// earlier packet.
+#[derive(Debug)]
+pub struct Packets<'a> {
+    config: &'a DecompressParams,
+    ct: &'a CompressedTrace,
+    /// Record indices in `first_ts` order, when `time_seq` is not
+    /// already sorted.
+    order: Option<Vec<usize>>,
+    /// Records admitted so far (a position in `order`).
+    admitted: usize,
+    /// `(pending packet timestamp, record index, slot)`, min first.
+    heap: BinaryHeap<Reverse<(Timestamp, usize, usize)>>,
+    /// Active flows: the pending packet and the cursor behind it.
+    flows: Vec<(PacketRecord, FlowCursor<'a>)>,
+    /// Slots in `flows` free for reuse.
+    free: Vec<usize>,
+}
+
+impl Packets<'_> {
+    /// Admits every record that may own a packet at or before the heap
+    /// top (or the next record outright when no flow is active).
+    fn admit(&mut self) {
+        while self.admitted < self.ct.time_seq.len() {
+            let idx = match &self.order {
+                Some(order) => order[self.admitted],
+                None => self.admitted,
+            };
+            let record = &self.ct.time_seq[idx];
+            if let Some(Reverse((top, _, _))) = self.heap.peek() {
+                if record.first_ts > *top {
+                    return;
+                }
+            }
+            self.admitted += 1;
+            let mut cursor = FlowCursor::new(self.config, self.ct, record);
+            // A record over an empty template contributes no packets.
+            if let Some(head) = cursor.next() {
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.flows[slot] = (head, cursor);
+                        slot
+                    }
+                    None => {
+                        self.flows.push((head, cursor));
+                        self.flows.len() - 1
+                    }
+                };
+                self.heap.push(Reverse((head.timestamp(), idx, slot)));
+            }
+        }
+    }
+}
+
+impl Iterator for Packets<'_> {
+    type Item = PacketRecord;
+
+    fn next(&mut self) -> Option<PacketRecord> {
+        self.admit();
+        let mut top = self.heap.peek_mut()?;
+        let Reverse((_, idx, slot)) = *top;
+        let (head, cursor) = &mut self.flows[slot];
+        let packet = *head;
+        match cursor.next() {
+            Some(next) => {
+                *head = next;
+                // Re-keying in place sifts the entry down once on drop.
+                *top = Reverse((next.timestamp(), idx, slot));
+            }
+            None => {
+                PeekMut::pop(top);
+                self.free.push(slot);
+            }
+        }
+        Some(packet)
+    }
+}
+
+/// One flow record mid-expansion — the §4 synthesis as a state machine
+/// that yields the flow's packets in order: the template position, the
+/// clock, the direction and both sequence counters.
+#[derive(Debug)]
+struct FlowCursor<'a> {
+    params: &'a DecompressParams,
+    entries: Entries<'a>,
+    pos: usize,
+    now: Timestamp,
+    rtt: Duration,
+    c2s: FiveTuple,
+    client_to_server: bool,
+    client_seq: u32,
+    server_seq: u32,
+}
+
+/// The template a cursor walks: short flows store only `M` values,
+/// long flows also the gap before each packet.
+#[derive(Debug, Clone, Copy)]
+enum Entries<'a> {
+    Short(&'a [u16]),
+    Long(&'a [(u16, Duration)]),
+}
+
+impl<'a> FlowCursor<'a> {
+    /// A cursor at the first packet of `record`, whose template, address
+    /// and RTT it reads from `ct` (indices must be in range).
+    fn new(
+        params: &'a DecompressParams,
+        ct: &'a CompressedTrace,
+        record: &FlowRecord,
+    ) -> FlowCursor<'a> {
+        let server = ct.addresses[record.addr_idx as usize];
+        let c2s = synth_tuple(
+            params.seed,
+            record.first_ts,
+            server,
+            record.rtt,
+            record.is_long,
+        );
+        let entries = if record.is_long {
+            Entries::Long(&ct.long_templates[record.template_idx as usize].entries)
+        } else {
+            Entries::Short(&ct.short_templates[record.template_idx as usize])
+        };
+        FlowCursor {
+            params,
+            entries,
+            pos: 0,
+            now: record.first_ts,
+            rtt: if record.rtt.is_zero() {
+                params.default_rtt
+            } else {
+                record.rtt
+            },
+            c2s,
+            client_to_server: true,
+            client_seq: 1_000,
+            server_seq: 5_000,
+        }
+    }
+}
+
+impl Iterator for FlowCursor<'_> {
+    type Item = PacketRecord;
+
+    fn next(&mut self) -> Option<PacketRecord> {
+        let (m, stored_gap) = match self.entries {
+            Entries::Short(ms) => (*ms.get(self.pos)?, None),
+            Entries::Long(es) => {
+                let &(m, gap) = es.get(self.pos)?;
+                (m, Some(gap))
+            }
+        };
+        let params = &self.params.params;
+        let (class, dep, f3) = params.weights.decompose(m as u32).unwrap_or((
+            crate::characterize::FlagClass::Ack,
+            Dependence::NotDependent,
+            0,
+        ));
+        if self.pos > 0 {
+            // Timing: stored gap for long flows; synthesized for short.
+            // Saturating, so a hostile timestamp near the top of the
+            // clock pins there instead of overflowing.
+            self.now = self.now.saturating_add(stored_gap.unwrap_or(match dep {
+                Dependence::Dependent => self.rtt,
+                Dependence::NotDependent => self.params.backtoback_gap,
+            }));
+            // Direction: dependent packets answer the opposite node.
+            if dep == Dependence::Dependent {
+                self.client_to_server = !self.client_to_server;
+            }
+        }
+        self.pos += 1;
+        let len = size_class_representative(f3, params.size_edge);
+        let (tuple, seq, ack) = if self.client_to_server {
+            let s = self.client_seq;
+            self.client_seq = s.wrapping_add(len as u32);
+            (self.c2s, s, self.server_seq)
+        } else {
+            let s = self.server_seq;
+            self.server_seq = s.wrapping_add(len as u32);
+            (self.c2s.reversed(), s, self.client_seq)
+        };
+        Some(
+            PacketRecord::builder()
+                .timestamp(self.now)
+                .tuple(tuple)
+                .flags(class.to_flags())
+                .payload_len(len)
+                .seq(seq)
+                .ack(ack)
+                .build(),
+        )
     }
 }
 
@@ -440,6 +601,27 @@ mod tests {
     fn empty_archive_decompresses_to_empty_trace() {
         let dec = Decompressor::default().decompress(&CompressedTrace::default());
         assert!(dec.is_empty());
+    }
+
+    #[test]
+    fn timing_saturates_at_the_top_of_the_clock() {
+        let top = Timestamp::from_micros(u64::MAX - 10);
+        let ct = CompressedTrace {
+            // SYN, then three dependent packets an RTT apart each.
+            short_templates: vec![vec![0, 16, 32, 32]],
+            long_templates: Vec::new(),
+            addresses: vec![Ipv4Addr::new(192, 0, 2, 80)],
+            time_seq: vec![crate::datasets::FlowRecord {
+                first_ts: top,
+                is_long: false,
+                template_idx: 0,
+                addr_idx: 0,
+                rtt: Duration::from_millis(5),
+            }],
+        };
+        let dec = Decompressor::default().decompress(&ct);
+        let ts: Vec<u64> = dec.iter().map(|p| p.timestamp().as_micros()).collect();
+        assert_eq!(ts, [u64::MAX - 10, u64::MAX, u64::MAX, u64::MAX]);
     }
 
     #[test]

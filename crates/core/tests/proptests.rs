@@ -1,7 +1,8 @@
 //! Property tests for the flow-clustering compressor: structural
 //! invariants that must hold for *any* well-formed input trace.
 
-use flowzip_core::{CompressedTrace, Compressor, Decompressor, Params, TemplateStore};
+use flowzip_core::datasets::LongTemplate;
+use flowzip_core::{CompressedTrace, Compressor, Decompressor, FlowRecord, Params, TemplateStore};
 use flowzip_trace::prelude::*;
 use proptest::prelude::*;
 
@@ -53,8 +54,133 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
     })
 }
 
+/// Arbitrary *valid* archives built to stress the decompressor's merge
+/// order: few distinct start times (equal timestamps across flows), RTTs
+/// and stored gaps of zero (equal timestamps within a flow), empty short
+/// and long templates, long flows, and — unless `sorted` — a `time_seq`
+/// in arbitrary order.
+fn arb_archive() -> impl Strategy<Value = CompressedTrace> {
+    (
+        prop::collection::vec(prop::collection::vec(0u16..60, 0..6), 1..5),
+        prop::collection::vec(
+            prop::collection::vec(
+                (0u16..60, prop::sample::select(vec![0u64, 0, 300, 80_000])),
+                0..70,
+            ),
+            1..4,
+        ),
+        prop::collection::vec(
+            (
+                0u64..6,
+                any::<bool>(),
+                any::<u32>(),
+                any::<u32>(),
+                prop::sample::select(vec![0u64, 300, 80_000]),
+            ),
+            0..40,
+        ),
+        any::<bool>(),
+    )
+        .prop_map(|(shorts, longs, records, sorted)| {
+            let long_templates: Vec<LongTemplate> = longs
+                .into_iter()
+                .map(|entries| LongTemplate {
+                    entries: entries
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, (m, gap))| {
+                            (m, Duration::from_micros(if i == 0 { 0 } else { gap }))
+                        })
+                        .collect(),
+                })
+                .collect();
+            let addresses = vec![
+                Ipv4Addr::new(192, 0, 2, 1),
+                Ipv4Addr::new(198, 51, 100, 7),
+                Ipv4Addr::new(203, 0, 113, 9),
+            ];
+            let mut time_seq: Vec<FlowRecord> = records
+                .into_iter()
+                .map(|(start, is_long, t, a, rtt)| FlowRecord {
+                    // Starts 300 µs apart: one back-to-back gap, so flows
+                    // collide with each other's later packets too.
+                    first_ts: Timestamp::from_micros(1_000 + start * 300),
+                    is_long,
+                    template_idx: if is_long {
+                        t % long_templates.len() as u32
+                    } else {
+                        t % shorts.len() as u32
+                    },
+                    addr_idx: a % addresses.len() as u32,
+                    rtt: Duration::from_micros(if is_long { 0 } else { rtt }),
+                })
+                .collect();
+            if sorted {
+                time_seq.sort_by_key(|r| r.first_ts);
+            }
+            CompressedTrace {
+                short_templates: shorts,
+                long_templates,
+                addresses,
+                time_seq,
+            }
+        })
+}
+
+/// The order `Decompressor::packets` must reproduce, computed the slow
+/// way: expand every flow in `time_seq` order into one vector, then
+/// stable-sort it by timestamp. Each flow expands on its own, as the
+/// sole record of a one-flow archive.
+fn materialize_then_sort(d: &Decompressor, ct: &CompressedTrace) -> Vec<PacketRecord> {
+    let mut all = Vec::new();
+    for r in &ct.time_seq {
+        let one = CompressedTrace {
+            time_seq: vec![*r],
+            ..ct.clone()
+        };
+        all.extend(d.decompress(&one).into_packets());
+    }
+    all.sort_by_key(|p| p.timestamp());
+    all
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn streaming_merge_equals_materialize_then_sort(ct in arb_archive()) {
+        let d = Decompressor::default();
+        let streamed: Vec<PacketRecord> = d.packets(&ct).collect();
+        prop_assert_eq!(streamed.len() as u64, ct.packet_count());
+        prop_assert_eq!(streamed, materialize_then_sort(&d, &ct));
+    }
+
+    #[test]
+    fn streaming_merge_over_multi_section_v2_bytes(trace in arb_trace(), shards in 1usize..7) {
+        use flowzip_core::{assemble_sections, FlowAccumulator, FlowAssembler};
+        let params = Params::paper();
+        let mut acc = FlowAccumulator::new(params.clone());
+        for p in &trace {
+            acc.push(p);
+        }
+        let mut asms: Vec<FlowAssembler> =
+            (0..shards).map(|_| FlowAssembler::new(params.clone())).collect();
+        for (i, flow) in acc.finish().iter().enumerate() {
+            asms[i % shards].consume(flow);
+        }
+        let sections = asms.into_iter().map(FlowAssembler::into_section).collect();
+        let (bytes, _) = assemble_sections(
+            &params,
+            sections,
+            flowzip_trace::tsh::file_size(&trace),
+            trace.header_bytes(),
+        );
+        let ct = CompressedTrace::from_bytes(&bytes).unwrap();
+        let d = Decompressor::default();
+        let streamed: Vec<PacketRecord> = d.packets(&ct).collect();
+        prop_assert_eq!(streamed.len(), trace.len());
+        prop_assert_eq!(streamed, materialize_then_sort(&d, &ct));
+    }
 
     #[test]
     fn compression_conserves_packets_and_flows(trace in arb_trace()) {

@@ -68,15 +68,26 @@ impl<'a> DecompressBuilder<'a> {
         self
     }
 
-    /// Runs the session: read the archive, decode it, synthesize the
-    /// trace per §4, serialize in the chosen capture format, deliver to
-    /// the sink, and report.
+    /// Runs the session: read the archive, decode it, then stream the §4
+    /// synthesis straight into the sink — [`Decompressor::packets`]
+    /// merges the flows by timestamp and each packet is encoded in the
+    /// chosen capture format as it is produced. No whole-trace packet
+    /// vector or output image is built: memory is O(archive + active
+    /// flows), not O(packets). A file sink is written to its `.part`
+    /// scratch file and renamed into place only on success.
+    ///
+    /// The report's [`Timing`] splits the run into `read_wait_secs`
+    /// (reading the archive), archive decode, and the streamed
+    /// expand + write phase (`serialize_secs`); `stage_busy_secs` is
+    /// decode + stream, and `unattributed_secs` what remains.
     ///
     /// # Errors
     ///
     /// [`PipelineError::Config`] for inputs that are not archive-shaped;
     /// [`PipelineError::Read`] / [`PipelineError::Decode`] for unreadable
-    /// or invalid archives; [`PipelineError::Write`] for sink failures.
+    /// or invalid archives; [`PipelineError::Encode`] when a synthesized
+    /// timestamp does not fit the capture format;
+    /// [`PipelineError::Write`] for sink failures.
     pub fn run(self) -> Result<RunResult, PipelineError> {
         let DecompressBuilder {
             input,
@@ -90,6 +101,7 @@ impl<'a> DecompressBuilder<'a> {
         let sink = sink.ok_or_else(|| {
             PipelineError::config("decompress session has no sink — call .sink(Sink::…)")
         })?;
+        let output_path = sink.path();
         let started = Instant::now();
         let inputs_desc = input.describe();
         let context = format!("decompress {}", inputs_desc.join(" "));
@@ -113,33 +125,43 @@ impl<'a> DecompressBuilder<'a> {
         };
         let read_wait = started.elapsed().as_secs_f64();
 
+        let decode = Instant::now();
         let (archive, summary) = ArchiveSummary::inspect_lean(&bytes)
             .map_err(|e| PipelineError::decode(context.clone(), e))?;
-        let trace = Decompressor::new(params).decompress(&archive);
+        drop(bytes);
+        let packets = archive.packet_count();
+        let decode_secs = decode.elapsed().as_secs_f64();
 
-        let ser = Instant::now();
-        let out_bytes = match output_format {
-            CaptureFormat::Tsh => tsh::to_bytes(&trace),
-            CaptureFormat::Pcap => pcap::to_bytes(&trace),
-        };
-        let serialize_secs = ser.elapsed().as_secs_f64();
+        let stream = Instant::now();
+        let mut out = sink.open()?;
+        let decompressor = Decompressor::new(params);
+        let merged = decompressor.packets(&archive);
+        let output_bytes = match output_format {
+            CaptureFormat::Tsh => tsh::write_packets(&mut out, merged),
+            CaptureFormat::Pcap => pcap::write_packets(&mut out, merged),
+        }
+        .map_err(|e| out.trace_error(&context, e))?;
+        let bytes = out.finish()?;
+        let stream_secs = stream.elapsed().as_secs_f64();
 
         let mut report = Report::new(Mode::Decompress);
         report.inputs = inputs_desc;
-        report.output = sink.path();
-        report.packets = trace.len() as u64;
+        report.output = output_path;
+        report.packets = packets;
         report.flows = archive.flow_count() as u64;
         report.archive = Some(summary);
         let mut timing = Timing::new(
             started.elapsed().as_secs_f64(),
             read_wait,
-            trace.len() as u64,
-            trace.len() as u64 * tsh::RECORD_BYTES as u64,
+            packets,
+            packets * tsh::RECORD_BYTES as u64,
         );
-        timing.serialize_secs = serialize_secs;
+        timing.serialize_secs = stream_secs;
+        timing.stage_busy_secs = decode_secs + stream_secs;
+        timing.unattributed_secs =
+            (timing.elapsed_secs - timing.read_wait_secs - timing.stage_busy_secs).max(0.0);
         report.timing = Some(timing);
-        report.output_bytes = out_bytes.len() as u64;
-        let bytes = sink.deliver(out_bytes)?;
+        report.output_bytes = output_bytes;
         Ok(RunResult { report, bytes })
     }
 }

@@ -31,6 +31,15 @@ pub enum PipelineError {
         /// The underlying codec error.
         source: CodecError,
     },
+    /// The output capture format cannot represent a synthesized value
+    /// (e.g. a timestamp past TSH/pcap's 32-bit seconds, which a
+    /// well-formed but hostile archive can carry).
+    Encode {
+        /// What was being written.
+        context: String,
+        /// The underlying encoder error.
+        source: TraceError,
+    },
     /// Writing the sink failed.
     Write {
         /// Where the output was going.
@@ -46,6 +55,7 @@ impl fmt::Display for PipelineError {
             PipelineError::Config(msg) => write!(f, "{msg}"),
             PipelineError::Read { context, source } => write!(f, "{context}: {source}"),
             PipelineError::Decode { context, source } => write!(f, "{context}: {source}"),
+            PipelineError::Encode { context, source } => write!(f, "{context}: {source}"),
             PipelineError::Write { context, source } => write!(f, "{context}: {source}"),
         }
     }
@@ -57,6 +67,7 @@ impl std::error::Error for PipelineError {
             PipelineError::Config(_) => None,
             PipelineError::Read { source, .. } => Some(source),
             PipelineError::Decode { source, .. } => Some(source),
+            PipelineError::Encode { source, .. } => Some(source),
             PipelineError::Write { source, .. } => Some(source),
         }
     }
@@ -79,6 +90,14 @@ impl PipelineError {
     /// Wraps a codec error with its archive context.
     pub(crate) fn decode(context: impl Into<String>, source: CodecError) -> PipelineError {
         PipelineError::Decode {
+            context: context.into(),
+            source,
+        }
+    }
+
+    /// Wraps an output-encoding error with its session context.
+    pub(crate) fn encode(context: impl Into<String>, source: TraceError) -> PipelineError {
+        PipelineError::Encode {
             context: context.into(),
             source,
         }

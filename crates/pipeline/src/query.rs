@@ -218,14 +218,6 @@ impl<'a> QueryBuilder<'a> {
         report.archive = Some(summary);
         report.query = Some(stats);
 
-        let out_bytes = match &sink {
-            None => Vec::new(),
-            Some(_) => match output_format {
-                CaptureFormat::Tsh => tsh::to_bytes(&outcome.trace),
-                CaptureFormat::Pcap => pcap::to_bytes(&outcome.trace),
-            },
-        };
-        report.output_bytes = out_bytes.len() as u64;
         report.timing = Some(Timing::new(
             started.elapsed().as_secs_f64(),
             read_wait,
@@ -238,7 +230,16 @@ impl<'a> QueryBuilder<'a> {
             }
         }
         let bytes = match sink {
-            Some(sink) => sink.deliver(out_bytes)?,
+            Some(sink) => {
+                let mut out = sink.open()?;
+                let packets = outcome.trace.packets();
+                report.output_bytes = match output_format {
+                    CaptureFormat::Tsh => tsh::write_packets(&mut out, packets),
+                    CaptureFormat::Pcap => pcap::write_packets(&mut out, packets),
+                }
+                .map_err(|e| out.trace_error(&context, e))?;
+                out.finish()?
+            }
             None => None,
         };
         Ok(RunResult { report, bytes })

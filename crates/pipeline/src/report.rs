@@ -212,21 +212,33 @@ pub struct EngineSummary {
 }
 
 /// Wall-clock accounting for a run.
+///
+/// Compress runs fill the stage fields from the engine. Decompress runs
+/// split the wall clock into three phases: reading the archive
+/// (`read_wait_secs`), decoding it, and the streamed expand + write
+/// phase, where flow synthesis and output encoding interleave
+/// (`serialize_secs`). `stage_busy_secs` is decode + stream, so
+/// `read_wait + stage_busy + unattributed = elapsed`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Timing {
     /// Wall-clock seconds for the whole run.
     pub elapsed_secs: f64,
-    /// Seconds spent blocked waiting on input.
+    /// Seconds spent blocked waiting on input (decompress: reading the
+    /// archive file).
     pub read_wait_secs: f64,
     /// `elapsed − read_wait`, clamped at zero.
     pub compute_secs: f64,
-    /// Seconds of serial serialization tail.
+    /// Compress: seconds of serial serialization tail. Decompress:
+    /// seconds of the streamed expand + merge + write phase, including
+    /// the sink's final flush and rename.
     pub serialize_secs: f64,
-    /// Busiest-shard measured stage time (instrumented streaming runs
-    /// only; 0 otherwise).
+    /// Compress: busiest-shard measured stage time (instrumented
+    /// streaming runs only; 0 otherwise). Decompress: archive decode +
+    /// the streamed phase.
     pub stage_busy_secs: f64,
     /// `elapsed − read_wait − stage_busy`, clamped at zero — wall-clock
-    /// the stage instruments did not see (instrumented runs only).
+    /// the stage instruments did not see (instrumented compress runs and
+    /// every decompress run).
     pub unattributed_secs: f64,
     /// Packets consumed per wall-clock second.
     pub packets_per_sec: f64,

@@ -145,6 +145,55 @@ fn report_embeds_the_final_metrics_dump_and_stage_split() {
 }
 
 #[test]
+fn decompress_timing_parts_sum_to_elapsed() {
+    let trace = web_trace(300, 16);
+    let archive = Pipeline::compress()
+        .input(Input::trace(&trace))
+        .sink(Sink::bytes())
+        .run()
+        .unwrap()
+        .into_bytes()
+        .unwrap();
+    let dir = std::env::temp_dir().join(format!("flowzip-met-dec-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("a.fzc");
+    std::fs::write(&path, &archive).unwrap();
+    let result = Pipeline::decompress()
+        .input(Input::file(&path))
+        .sink(Sink::file(dir.join("restored.tsh")))
+        .run()
+        .unwrap();
+    let t = result.report.timing.unwrap();
+    for (name, v) in [
+        ("elapsed", t.elapsed_secs),
+        ("read_wait", t.read_wait_secs),
+        ("serialize", t.serialize_secs),
+        ("stage_busy", t.stage_busy_secs),
+        ("unattributed", t.unattributed_secs),
+    ] {
+        assert!(v >= 0.0, "{name} = {v}");
+    }
+    // The streamed expand + write phase is one part of the stage time;
+    // archive decode is the rest.
+    assert!(t.serialize_secs > 0.0);
+    assert!(t.stage_busy_secs >= t.serialize_secs);
+    let sum = t.read_wait_secs + t.stage_busy_secs + t.unattributed_secs;
+    assert!(
+        (sum - t.elapsed_secs).abs() < 1e-9,
+        "{} + {} + {} != {}",
+        t.read_wait_secs,
+        t.stage_busy_secs,
+        t.unattributed_secs,
+        t.elapsed_secs
+    );
+    assert_eq!(result.report.output_bytes, tsh::file_size(&trace));
+    let json = result.report.to_json();
+    assert!(json.contains("\"stage_busy_secs\": "), "{json}");
+    assert!(json.contains("\"unattributed_secs\": "), "{json}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn uninstrumented_runs_embed_no_metrics_and_no_stage_split() {
     let trace = web_trace(60, 14);
     let result = Pipeline::compress()

@@ -198,3 +198,107 @@ fn missing_input_file_surfaces_read_error_with_context() {
     assert!(matches!(err, PipelineError::Read { .. }), "{err}");
     assert!(err.to_string().contains("missing.tsh"), "{err}");
 }
+
+/// A well-formed archive that passes `CompressedTrace::validate()` but
+/// whose second flow starts at 2^32 s — past the 32-bit seconds both
+/// TSH and pcap store — and whose third sits at the top of the clock, so
+/// timing synthesis must saturate rather than overflow.
+fn out_of_range_archive() -> flowzip_core::CompressedTrace {
+    use flowzip_core::{CompressedTrace, FlowRecord};
+    let record = |first_ts: Timestamp| FlowRecord {
+        first_ts,
+        is_long: false,
+        template_idx: 0,
+        addr_idx: 0,
+        rtt: Duration::from_micros(4_096),
+    };
+    let ct = CompressedTrace {
+        // SYN, SYN/ACK (dependent), ACK (dependent), data (not dependent).
+        short_templates: vec![vec![0, 16, 32, 37]],
+        long_templates: Vec::new(),
+        addresses: vec![Ipv4Addr::new(192, 0, 2, 80)],
+        time_seq: vec![
+            record(Timestamp::from_secs(1)),
+            record(Timestamp::from_secs(1 << 32)),
+            record(Timestamp::from_micros(u64::MAX - 10)),
+        ],
+    };
+    ct.validate().unwrap();
+    ct
+}
+
+/// Both container versions of [`out_of_range_archive`].
+fn out_of_range_archives() -> [(&'static str, Vec<u8>); 2] {
+    let ct = out_of_range_archive();
+    [("v1", ct.to_bytes()), ("v2", ct.to_bytes_v2())]
+}
+
+fn assert_encode_error(err: &PipelineError, what: &str) {
+    assert!(
+        matches!(err, PipelineError::Encode { .. }),
+        "{what}: expected an Encode error, got {err}"
+    );
+    assert!(err.to_string().contains("out of range"), "{what}: {err}");
+}
+
+#[test]
+fn out_of_range_timestamps_are_a_typed_decompress_error() {
+    use flowzip_trace::CaptureFormat;
+    let dir = std::env::temp_dir().join(format!("flowzip-val-ts-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (version, bytes) in out_of_range_archives() {
+        for format in [CaptureFormat::Tsh, CaptureFormat::Pcap] {
+            let what = format!("{version} {format:?}");
+            let err = Pipeline::decompress()
+                .input(Input::bytes(bytes.clone()))
+                .sink(Sink::bytes())
+                .output_format(format)
+                .run()
+                .unwrap_err();
+            assert_encode_error(&err, &what);
+
+            // A file sink fails mid-stream: neither the output nor its
+            // scratch file survives.
+            let out = dir.join(format!("{version}-{format:?}.out"));
+            let err = Pipeline::decompress()
+                .input(Input::bytes(bytes.clone()))
+                .sink(Sink::file(&out))
+                .output_format(format)
+                .run()
+                .unwrap_err();
+            assert_encode_error(&err, &what);
+            assert!(!out.exists(), "{what}: output written");
+            assert!(!Sink::partial_path(&out).exists(), "{what}: .part left");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn out_of_range_timestamps_are_a_typed_query_error() {
+    use flowzip_trace::CaptureFormat;
+    let dir = std::env::temp_dir().join(format!("flowzip-val-tsq-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (version, bytes) in out_of_range_archives() {
+        for format in [CaptureFormat::Tsh, CaptureFormat::Pcap] {
+            let what = format!("{version} {format:?}");
+            let out = dir.join(format!("{version}-{format:?}.out"));
+            let err = Pipeline::query()
+                .input(Input::bytes(bytes.clone()))
+                .sink(Sink::file(&out))
+                .output_format(format)
+                .run()
+                .unwrap_err();
+            assert_encode_error(&err, &what);
+            assert!(!out.exists(), "{what}: output written");
+            assert!(!Sink::partial_path(&out).exists(), "{what}: .part left");
+        }
+        // Without a sink nothing is encoded, so the query just reports.
+        let run = Pipeline::query()
+            .input(Input::bytes(bytes.clone()))
+            .run()
+            .unwrap();
+        assert_eq!(run.report.packets, 12, "{version}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

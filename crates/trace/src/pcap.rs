@@ -15,6 +15,7 @@ use crate::packet::PacketRecord;
 use crate::time::Timestamp;
 use crate::trace::Trace;
 use crate::tuple::Protocol;
+use std::borrow::Borrow;
 use std::io::{Read, Write};
 use std::net::Ipv4Addr;
 
@@ -39,53 +40,99 @@ pub const SNAP_BYTES: u32 = 54;
 /// into a multi-gigabyte allocation.
 pub const MAX_CAPTURE_BYTES: usize = 1 << 18;
 
+/// Bytes of the pcap global header.
+const GLOBAL_HEADER_BYTES: usize = 24;
+
+/// Bytes of one written record: the 16-byte record header plus the
+/// 54-byte frame.
+pub const RECORD_BYTES: usize = 16 + SNAP_BYTES as usize;
+
+/// The 24-byte global header this module writes: little-endian
+/// microsecond magic, version 2.4, Ethernet, snaplen 54.
+fn encode_header() -> [u8; GLOBAL_HEADER_BYTES] {
+    // thiszone (8..12) and sigfigs (12..16) stay zero.
+    let mut h = [0u8; GLOBAL_HEADER_BYTES];
+    h[0..4].copy_from_slice(&MAGIC_LE.to_le_bytes());
+    h[4..6].copy_from_slice(&2u16.to_le_bytes()); // version major
+    h[6..8].copy_from_slice(&4u16.to_le_bytes()); // version minor
+    h[16..20].copy_from_slice(&SNAP_BYTES.to_le_bytes());
+    h[20..24].copy_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
+    h
+}
+
+/// Encodes one packet as a pcap record: record header (timestamp,
+/// captured and original lengths) followed by its 54-byte frame.
+///
+/// # Errors
+///
+/// Returns [`TraceError::FieldOutOfRange`] when the timestamp does not
+/// fit pcap's 32-bit seconds.
+pub fn encode_record(p: &PacketRecord) -> Result<[u8; RECORD_BYTES], TraceError> {
+    let (secs, micros) = p.timestamp().to_secs_micros();
+    if p.timestamp().as_micros() / 1_000_000 > u32::MAX as u64 {
+        return Err(TraceError::FieldOutOfRange {
+            field: "timestamp_secs",
+            value: p.timestamp().as_micros() / 1_000_000,
+        });
+    }
+    let mut rec = [0u8; RECORD_BYTES];
+    rec[0..4].copy_from_slice(&secs.to_le_bytes());
+    rec[4..8].copy_from_slice(&micros.to_le_bytes());
+    rec[8..12].copy_from_slice(&SNAP_BYTES.to_le_bytes()); // incl_len
+    rec[12..16].copy_from_slice(&(14 + p.ip_total_len()).to_le_bytes()); // orig_len
+    write_frame(p, &mut rec[16..]);
+    Ok(rec)
+}
+
+/// Writes a pcap file from packets, one record at a time in iterator
+/// order, so the producer never has to hold the whole trace. Returns
+/// bytes written.
+///
+/// # Errors
+///
+/// Propagates I/O failures and timestamp-range errors (pcap stores
+/// 32-bit seconds); records before the failing one have already been
+/// handed to `w`.
+pub fn write_packets<W, I>(mut w: W, packets: I) -> Result<u64, TraceError>
+where
+    W: Write,
+    I: IntoIterator,
+    I::Item: Borrow<PacketRecord>,
+{
+    w.write_all(&encode_header())?;
+    let mut written = GLOBAL_HEADER_BYTES as u64;
+    for p in packets {
+        w.write_all(&encode_record(p.borrow())?)?;
+        written += RECORD_BYTES as u64;
+    }
+    Ok(written)
+}
+
 /// Writes a trace as a pcap file. Returns bytes written.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures and timestamp-range errors (pcap stores
 /// 32-bit seconds).
-pub fn write_trace<W: Write>(mut w: W, trace: &Trace) -> Result<u64, TraceError> {
-    let mut written = 0u64;
-    // Global header.
-    w.write_all(&MAGIC_LE.to_le_bytes())?;
-    w.write_all(&2u16.to_le_bytes())?; // version major
-    w.write_all(&4u16.to_le_bytes())?; // version minor
-    w.write_all(&0i32.to_le_bytes())?; // thiszone
-    w.write_all(&0u32.to_le_bytes())?; // sigfigs
-    w.write_all(&SNAP_BYTES.to_le_bytes())?; // snaplen
-    w.write_all(&LINKTYPE_ETHERNET.to_le_bytes())?;
-    written += 24;
-
-    for p in trace {
-        let (secs, micros) = p.timestamp().to_secs_micros();
-        if p.timestamp().as_micros() / 1_000_000 > u32::MAX as u64 {
-            return Err(TraceError::FieldOutOfRange {
-                field: "timestamp_secs",
-                value: p.timestamp().as_micros() / 1_000_000,
-            });
-        }
-        w.write_all(&secs.to_le_bytes())?;
-        w.write_all(&micros.to_le_bytes())?;
-        w.write_all(&SNAP_BYTES.to_le_bytes())?; // incl_len
-        let orig = 14 + p.ip_total_len();
-        w.write_all(&orig.to_le_bytes())?;
-        w.write_all(&frame(p))?;
-        written += 16 + SNAP_BYTES as u64;
-    }
-    Ok(written)
+pub fn write_trace<W: Write>(w: W, trace: &Trace) -> Result<u64, TraceError> {
+    write_packets(w, trace)
 }
 
 /// Serializes a trace to an in-memory pcap image.
+///
+/// # Panics
+///
+/// Panics if a timestamp does not fit pcap's 32-bit seconds; use
+/// [`write_packets`] to get the error instead.
 pub fn to_bytes(trace: &Trace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + trace.len() * (16 + SNAP_BYTES as usize));
-    write_trace(&mut out, trace).expect("in-memory pcap write cannot fail");
+    let mut out = Vec::with_capacity(GLOBAL_HEADER_BYTES + trace.len() * RECORD_BYTES);
+    write_trace(&mut out, trace).expect("pcap timestamps must fit 32-bit seconds");
     out
 }
 
-/// Builds the 54-byte Ethernet+IPv4+TCP frame for one record.
-fn frame(p: &PacketRecord) -> [u8; SNAP_BYTES as usize] {
-    let mut f = [0u8; SNAP_BYTES as usize];
+/// Writes the 54-byte Ethernet+IPv4+TCP frame for one record into the
+/// zeroed `f`.
+fn write_frame(p: &PacketRecord, f: &mut [u8]) {
     // Ethernet: synthetic locally-administered MACs, EtherType IPv4.
     f[0..6].copy_from_slice(&[0x02, 0, 0, 0, 0, 0x02]);
     f[6..12].copy_from_slice(&[0x02, 0, 0, 0, 0, 0x01]);
@@ -111,7 +158,6 @@ fn frame(p: &PacketRecord) -> [u8; SNAP_BYTES as usize] {
     tcp[12] = 5 << 4;
     tcp[13] = p.flags().bits();
     tcp[14..16].copy_from_slice(&p.window().to_be_bytes());
-    f
 }
 
 fn checksum(header: &[u8]) -> u16 {
@@ -417,6 +463,24 @@ mod tests {
         assert_eq!(bytes.len(), 24);
         let back = read_trace(&bytes[..]).unwrap();
         assert!(back.is_empty());
+    }
+
+    #[test]
+    fn write_packets_streams_the_same_image() {
+        let t = sample_trace();
+        let mut out = Vec::new();
+        let written = write_packets(&mut out, t.packets().iter().copied()).unwrap();
+        assert_eq!(written, out.len() as u64);
+        assert_eq!(out, to_bytes(&t));
+    }
+
+    #[test]
+    fn write_packets_rejects_timestamps_past_32_bit_seconds() {
+        let p = PacketRecord::builder()
+            .timestamp(Timestamp::from_secs(u32::MAX as u64 + 1))
+            .build();
+        let err = write_packets(Vec::new(), [p]).unwrap_err();
+        assert!(matches!(err, TraceError::FieldOutOfRange { .. }), "{err}");
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::packet::PacketRecord;
 use crate::time::Timestamp;
 use crate::trace::Trace;
 use crate::tuple::Protocol;
+use std::borrow::Borrow;
 use std::io::{Read, Write};
 use std::net::Ipv4Addr;
 
@@ -133,6 +134,30 @@ pub fn decode_record(rec: &[u8]) -> Result<(PacketRecord, u8), TraceError> {
     Ok((pkt, interface))
 }
 
+/// Writes packets as consecutive TSH records, one at a time, in iterator
+/// order — so a producer such as a streaming decompressor never has to
+/// hold the whole trace. Returns bytes written (`44` per packet).
+///
+/// Pass `&mut writer` if you need the writer back afterwards.
+///
+/// # Errors
+///
+/// Propagates I/O failures and per-record encoding errors; records
+/// before the failing one have already been handed to `w`.
+pub fn write_packets<W, I>(mut w: W, packets: I) -> Result<u64, TraceError>
+where
+    W: Write,
+    I: IntoIterator,
+    I::Item: Borrow<PacketRecord>,
+{
+    let mut written = 0u64;
+    for p in packets {
+        w.write_all(&encode_record(p.borrow(), 0)?)?;
+        written += RECORD_BYTES as u64;
+    }
+    Ok(written)
+}
+
 /// Writes a whole trace as consecutive TSH records. Returns bytes written
 /// (always `44 * trace.len()`).
 ///
@@ -141,14 +166,8 @@ pub fn decode_record(rec: &[u8]) -> Result<(PacketRecord, u8), TraceError> {
 /// # Errors
 ///
 /// Propagates I/O failures and per-record encoding errors.
-pub fn write_trace<W: Write>(mut w: W, trace: &Trace) -> Result<u64, TraceError> {
-    let mut written = 0u64;
-    for p in trace {
-        let rec = encode_record(p, 0)?;
-        w.write_all(&rec)?;
-        written += RECORD_BYTES as u64;
-    }
-    Ok(written)
+pub fn write_trace<W: Write>(w: W, trace: &Trace) -> Result<u64, TraceError> {
+    write_packets(w, trace)
 }
 
 /// Incremental TSH record reader: an iterator of
@@ -241,10 +260,14 @@ pub fn read_trace<R: Read>(r: R) -> Result<Trace, TraceError> {
 
 /// Serializes a trace to an in-memory TSH image — what Figure 1 calls the
 /// "Original TSH file".
+///
+/// # Panics
+///
+/// Panics if a timestamp does not fit TSH's 32-bit seconds; use
+/// [`write_packets`] to get the error instead.
 pub fn to_bytes(trace: &Trace) -> Vec<u8> {
     let mut out = Vec::with_capacity(trace.len() * RECORD_BYTES);
-    // Writing to a Vec cannot fail and timestamps were validated on entry.
-    write_trace(&mut out, trace).expect("in-memory TSH write cannot fail");
+    write_trace(&mut out, trace).expect("TSH timestamps must fit 32-bit seconds");
     out
 }
 
@@ -364,6 +387,30 @@ mod tests {
         assert_eq!(bytes.len() as u64, file_size(&t));
         let back = read_trace(&bytes[..]).unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn write_packets_streams_the_same_image() {
+        let t = Trace::from_packets((0..10u64).map(|_| sample_packet()).collect());
+        let mut out = Vec::new();
+        let written = write_packets(&mut out, t.packets().iter().copied()).unwrap();
+        assert_eq!(written, out.len() as u64);
+        assert_eq!(out, to_bytes(&t));
+    }
+
+    #[test]
+    fn write_packets_rejects_timestamps_past_32_bit_seconds() {
+        let p = PacketRecord::builder()
+            .timestamp(Timestamp::from_secs(MAX_SECONDS + 1))
+            .build();
+        let mut out = Vec::new();
+        let err = write_packets(&mut out, [sample_packet(), p]).unwrap_err();
+        assert!(matches!(err, TraceError::FieldOutOfRange { .. }), "{err}");
+        assert_eq!(
+            out.len(),
+            RECORD_BYTES,
+            "records before the bad one are written"
+        );
     }
 
     #[test]

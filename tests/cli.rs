@@ -148,6 +148,56 @@ fn corrupt_archive_is_rejected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A well-formed archive whose second flow starts at 2^32 s cannot be
+/// written as TSH or pcap (32-bit seconds): `decompress` must exit 1 with
+/// a message — no panic — and leave neither the output nor its `.part`
+/// scratch file behind.
+#[test]
+fn out_of_range_archive_fails_cleanly() {
+    use flowzip::core::FlowRecord;
+    use flowzip::prelude::*;
+    let dir = tmpdir("out-of-range");
+    let record = |first_ts| FlowRecord {
+        first_ts,
+        is_long: false,
+        template_idx: 0,
+        addr_idx: 0,
+        rtt: Duration::from_micros(4_096),
+    };
+    let ct = CompressedTrace {
+        short_templates: vec![vec![0, 16, 32]],
+        long_templates: Vec::new(),
+        addresses: vec![Ipv4Addr::new(192, 0, 2, 80)],
+        time_seq: vec![
+            record(Timestamp::from_secs(1)),
+            record(Timestamp::from_secs(1 << 32)),
+        ],
+    };
+    for (name, bytes) in [("v1.fzc", ct.to_bytes()), ("v2.fzc", ct.to_bytes_v2())] {
+        let archive = dir.join(name);
+        std::fs::write(&archive, bytes).unwrap();
+        for format in ["tsh", "pcap"] {
+            let restored = dir.join(format!("{name}.{format}"));
+            let out = bin()
+                .arg("decompress")
+                .arg(&archive)
+                .arg("-o")
+                .arg(&restored)
+                .args(["--out-format", format])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{name} {format}: {stderr}");
+            assert!(stderr.contains("out of range"), "{name} {format}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{name} {format}: {stderr}");
+            assert!(!restored.exists(), "{name} {format}: output written");
+            let part = flowzip::pipeline::Sink::partial_path(&restored);
+            assert!(!part.exists(), "{name} {format}: .part left behind");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn missing_file_is_reported() {
     let out = bin()

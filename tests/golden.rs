@@ -139,3 +139,45 @@ fn golden_round_trip_preserves_packet_count() {
     let again = Decompressor::default().decompress(&reloaded);
     assert_eq!(restored, again, "decompression must be deterministic");
 }
+
+/// The restored captures of the checked-in fixtures are pinned by CRC32
+/// digest and length, per fixture and output format. They pin the
+/// decompressor's *output* — packet order, synthesized endpoints, timing
+/// and the TSH/pcap encoders — so any change to the restore path must
+/// reproduce these bytes exactly.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[test]
+fn restored_captures_match_pinned_digests() {
+    use flowzip::deflate::crc32::crc32;
+    use flowzip::trace::CaptureFormat;
+
+    const RESTORED: [(&str, CaptureFormat, u64, u32); 4] = [
+        ("v1", CaptureFormat::Tsh, 81_708, 0x991c_5e0c),
+        ("v1", CaptureFormat::Pcap, 130_014, 0x086f_abee),
+        ("v2", CaptureFormat::Tsh, 81_708, 0x991c_5e0c),
+        ("v2", CaptureFormat::Pcap, 130_014, 0x086f_abee),
+    ];
+    if std::env::var_os("FLOWZIP_BLESS").is_some() {
+        return; // fixtures may be mid-rewrite
+    }
+    for (version, format, len, digest) in RESTORED {
+        let path = match version {
+            "v1" => fixture_path(),
+            _ => fixture_path_v2(),
+        };
+        let run = Pipeline::decompress()
+            .input(Input::file(&path))
+            .sink(Sink::bytes())
+            .output_format(format)
+            .run()
+            .unwrap();
+        assert_eq!(run.report.output_bytes, len, "{version} {format:?} report");
+        let bytes = run.into_bytes().unwrap();
+        assert_eq!(bytes.len() as u64, len, "{version} {format:?} length");
+        assert_eq!(
+            crc32(&bytes),
+            digest,
+            "{version} {format:?} restored bytes changed"
+        );
+    }
+}
